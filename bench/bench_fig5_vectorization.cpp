@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "simd/simd.h"
+#include "core/kernel_dispatch.h"
 
 using namespace tpf;
 using namespace tpf::bench;
@@ -23,7 +23,9 @@ using core::Scenario;
 int main() {
     std::printf("== Figure 5: phi-kernel vectorization strategies "
                 "(60^3 block, one core) ==\n");
-    std::printf("SIMD backend: %s\n\n", tpf::simd::backendName().c_str());
+    std::printf("kernel target: %s (%d-wide multi-cell sweeps)\n\n",
+                core::activeKernelTarget()->name,
+                core::activeKernelTarget()->width);
 
     Table t({"scenario", "cellwise [MLUP/s]", "cellwise+shortcuts [MLUP/s]",
              "four cells [MLUP/s]"});

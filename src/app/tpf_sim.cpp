@@ -483,9 +483,9 @@ int main(int argc, char** argv) {
         cli.getFlag("window", "enable the moving window (solidify only)");
     const std::string kernelFlag = cli.getString(
         "kernel", "",
-        "kernel spec [schedule:]target — schedule split|fused, target "
-        "auto|scalar|sse2|avx2|avx512 (default: $TPF_KERNEL, else "
-        "split:auto); results are bitwise identical across specs");
+        "kernel target auto|scalar|sse2|avx2|avx512 (default: $TPF_KERNEL, "
+        "else auto = widest the CPU supports); results are bitwise "
+        "identical across targets");
     const bool listKernels = cli.getFlag(
         "list-kernels", "list the compiled-in dispatch targets and exit");
 
@@ -495,6 +495,16 @@ int main(int argc, char** argv) {
     }
     if (!cli.finish()) return 2;
 
+    // Kernel selection: --kernel beats TPF_KERNEL (resolved by the dispatch
+    // layer on first use) beats the auto-detected widest target.
+    if (!kernelFlag.empty() && !core::setKernelTarget(kernelFlag)) {
+        std::fprintf(stderr,
+                     "tpf-sim: unknown or unavailable kernel target '%s' "
+                     "(auto|scalar|sse2|avx2|avx512; see --list-kernels)\n",
+                     kernelFlag.c_str());
+        return 2;
+    }
+
     if (listKernels) {
         const auto targets = core::availableKernelTargets();
         std::printf("available kernel targets (narrowest first):\n");
@@ -502,7 +512,6 @@ int main(int argc, char** argv) {
             std::printf("  %-8s %d-wide multi-cell sweeps%s\n", t->name,
                         t->width,
                         t == core::activeKernelTarget() ? "  [active]" : "");
-        std::printf("schedules: split (default), fused\n");
         return 0;
     }
 
@@ -566,37 +575,6 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    // Kernel selection: --kernel beats TPF_KERNEL beats the auto-detected
-    // widest target. An explicit --kernel naming an unsupported target is a
-    // hard error; an unsupported TPF_KERNEL falls back with a warning (the
-    // results are bitwise identical either way).
-    std::string kernelSpecStr = kernelFlag;
-    const bool kernelExplicit = !kernelSpecStr.empty();
-    if (kernelSpecStr.empty())
-        if (const char* env = std::getenv("TPF_KERNEL")) kernelSpecStr = env;
-    if (!kernelSpecStr.empty()) {
-        core::KernelSpec ks;
-        std::string err;
-        if (!core::parseKernelSpec(kernelSpecStr, ks, err)) {
-            std::fprintf(stderr, "tpf-sim: %s\n", err.c_str());
-            return 2;
-        }
-        if (!core::setKernelTarget(ks.target)) {
-            std::fprintf(stderr,
-                         "tpf-sim: kernel target '%s' is not available on "
-                         "this CPU (see --list-kernels)%s\n",
-                         ks.target.c_str(),
-                         kernelExplicit ? "" : "; TPF_KERNEL target ignored");
-            if (kernelExplicit) return 2;
-        }
-        cfg.schedule = ks.schedule;
-    }
-    if (cfg.schedule == core::SweepSchedule::Fused && cfg.overlapPhi) {
-        std::fprintf(stderr, "tpf-sim: the fused schedule cannot hide the "
-                             "phi communication; use --overlap none or mu\n");
-        return 2;
-    }
-
     if (opt.ranks > 1 && !blockGiven) {
         if (size.z % opt.ranks != 0) {
             std::fprintf(stderr,
@@ -607,15 +585,6 @@ int main(int argc, char** argv) {
         block = {size.x, size.y, size.z / opt.ranks};
     }
     cfg.blockSize = block;
-    if (cfg.schedule == core::SweepSchedule::Fused && blockGiven &&
-        (block.x != size.x || block.y != size.y)) {
-        std::fprintf(stderr,
-                     "tpf-sim: the fused schedule needs blocks spanning the "
-                     "full x/y extent (z-split only); got block %d,%d,%d for "
-                     "domain %d,%d,%d\n",
-                     block.x, block.y, block.z, size.x, size.y, size.z);
-        return 2;
-    }
 
     if (!opt.restart.empty()) {
         // Fail fast, before spawning ranks, when the checkpoint does not
@@ -884,15 +853,13 @@ int main(int argc, char** argv) {
                 "%d rank(s) x %d thread(s)\n"
                 "         G=%.3f K/cell  v=%.4f cells/t  overlap=%s%s  "
                 "transport=%s\n"
-                "         kernel=%s (%d-wide)  schedule=%s\n\n",
+                "         kernel=%s (%d-wide)\n\n",
                 opt.scenario.c_str(), size.x, size.y, size.z, opt.steps,
                 opt.ranks, threads, gradient, velocity, overlap.c_str(),
                 window ? "  moving-window" : "",
                 opt.ranks == 1 ? "(serial)" : vmpi::transportName(transport),
                 core::activeKernelTarget()->name,
-                core::activeKernelTarget()->width,
-                cfg.schedule == core::SweepSchedule::Fused ? "fused"
-                                                           : "split");
+                core::activeKernelTarget()->width);
 
     try {
         if (opt.ranks == 1) {

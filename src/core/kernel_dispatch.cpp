@@ -1,5 +1,6 @@
 #include "core/kernel_dispatch.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace tpf::core {
@@ -31,25 +32,34 @@ const KernelTarget* widestAvailable() {
     return all.back(); // narrowest first; scalar guarantees non-empty
 }
 
-/// Mutable selection + one-time TPF_KERNEL resolution.
-const KernelTarget*& selection() {
-    static const KernelTarget* sel = [] {
-        const KernelTarget* def = widestAvailable();
-        if (const char* env = std::getenv("TPF_KERNEL")) {
-            KernelSpec spec;
-            std::string err;
-            if (parseKernelSpec(env, spec, err) && spec.target != "auto") {
-                for (const KernelTarget* t : availableKernelTargets())
-                    if (spec.target == t->name) return t;
-                // Unsupported on this machine: fall through to the default
-                // rather than aborting — results are bitwise identical
-                // across targets anyway.
-            }
-        }
-        return def;
-    }();
-    return sel;
+/// The available target called \p name ("auto": the widest), else nullptr.
+const KernelTarget* findTarget(const std::string& name) {
+    if (name == "auto") return widestAvailable();
+    for (const KernelTarget* t : availableKernelTargets())
+        if (name == t->name) return t;
+    return nullptr;
 }
+
+/// TPF_KERNEL, resolved once. A value naming no available target falls back
+/// to the widest — results are bitwise identical across targets anyway —
+/// but says so, so a typo cannot silently change what every binary runs.
+const KernelTarget* environmentTarget() {
+    static const KernelTarget* const target = [] {
+        const char* env = std::getenv("TPF_KERNEL");
+        if (env == nullptr) return widestAvailable();
+        if (const KernelTarget* t = findTarget(env)) return t;
+        const KernelTarget* fallback = widestAvailable();
+        std::fprintf(stderr,
+                     "tpf: TPF_KERNEL='%s' is not an available kernel target "
+                     "(auto|scalar|sse2|avx2|avx512); using %s\n",
+                     env, fallback->name);
+        return fallback;
+    }();
+    return target;
+}
+
+/// Set by setKernelTarget(); overrides TPF_KERNEL when non-null.
+const KernelTarget* chosen = nullptr;
 
 } // namespace
 
@@ -62,58 +72,14 @@ std::vector<const KernelTarget*> availableKernelTargets() {
     return out;
 }
 
-const KernelTarget* activeKernelTarget() { return selection(); }
-
-bool setKernelTarget(const std::string& name) {
-    if (name == "auto") {
-        selection() = widestAvailable();
-        return true;
-    }
-    for (const KernelTarget* t : availableKernelTargets()) {
-        if (name == t->name) {
-            selection() = t;
-            return true;
-        }
-    }
-    return false;
+const KernelTarget* activeKernelTarget() {
+    return chosen != nullptr ? chosen : environmentTarget();
 }
 
-bool parseKernelSpec(const std::string& spec, KernelSpec& out,
-                     std::string& err) {
-    KernelSpec parsed;
-    bool haveSchedule = false, haveTarget = false;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t colon = spec.find(':', pos);
-        const std::string tok =
-            spec.substr(pos, colon == std::string::npos ? std::string::npos
-                                                        : colon - pos);
-        pos = colon == std::string::npos ? spec.size() + 1 : colon + 1;
-
-        if (tok == "split" || tok == "fused") {
-            if (haveSchedule) {
-                err = "kernel spec '" + spec + "': duplicate schedule token";
-                return false;
-            }
-            parsed.schedule = tok == "fused" ? SweepSchedule::Fused
-                                             : SweepSchedule::Split;
-            haveSchedule = true;
-        } else if (tok == "auto" || tok == "scalar" || tok == "sse2" ||
-                   tok == "avx2" || tok == "avx512") {
-            if (haveTarget) {
-                err = "kernel spec '" + spec + "': duplicate target token";
-                return false;
-            }
-            parsed.target = tok;
-            haveTarget = true;
-        } else {
-            err = "kernel spec '" + spec + "': unknown token '" + tok +
-                  "' (expected split|fused or "
-                  "auto|scalar|sse2|avx2|avx512)";
-            return false;
-        }
-    }
-    out = parsed;
+bool setKernelTarget(const std::string& name) {
+    const KernelTarget* t = findTarget(name);
+    if (t == nullptr) return false;
+    chosen = t;
     return true;
 }
 

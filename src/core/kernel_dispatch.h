@@ -1,22 +1,21 @@
 #pragma once
 /// \file kernel_dispatch.h
-/// Runtime instruction-set dispatch for the vectorized phi/mu sweeps.
-///
-/// The configure-time simd::Vec4d pick (src/simd/simd.h) bakes one backend
-/// into the binary; reproducing the paper's numbers across machines — and
-/// checking the bitwise-equivalence contract per backend — needs the choice
-/// at *startup* instead. Each KernelTarget is the same kernel bodies
-/// (core/phi_kernel_cellwise_body.h, core/phi_kernel_multicell_body.h,
-/// core/mu_kernel_multicell_body.h) compiled in its own translation unit
-/// (src/core/kernel_targets/) with that ISA's flags and vector types, behind
-/// internal linkage so targets can never collapse into one symbol.
+/// Runtime instruction-set dispatch for the vectorized phi/mu sweeps — the
+/// only path by which they run. Reproducing the paper's numbers across
+/// machines, and checking the bitwise-equivalence contract per backend,
+/// needs the choice at *startup*, not at configure time. Each KernelTarget is
+/// the same kernel bodies (core/phi_kernel_cellwise_body.h,
+/// core/phi_kernel_multicell_body.h, core/mu_kernel_multicell_body.h)
+/// compiled in its own translation unit (src/core/kernel_targets/) with that
+/// ISA's flags and vector types, behind internal linkage so targets can never
+/// collapse into one symbol.
 ///
 /// Selection: widest CPU-supported target by default, overridable with the
-/// TPF_KERNEL environment variable or the --kernel CLI flag (kernel specs
-/// "[schedule:]target", e.g. "avx2", "fused:avx512", "split:scalar"). All
-/// targets are bitwise-identical by construction (same fma/rsqrt arithmetic
-/// per lane; docs/CORRECTNESS.md), so the override is a reproducibility and
-/// testing knob, not a results knob.
+/// TPF_KERNEL environment variable or the --kernel CLI flag, each naming one
+/// target ("auto", "scalar", "sse2", "avx2", "avx512"). All targets are
+/// bitwise-identical by construction (same fma/rsqrt arithmetic per lane;
+/// docs/CORRECTNESS.md), so the override is a reproducibility and testing
+/// knob, not a results knob.
 
 #include <string>
 #include <vector>
@@ -48,9 +47,10 @@ const KernelTarget* kernelTargetAvx512();
 /// (scalar always present).
 std::vector<const KernelTarget*> availableKernelTargets();
 
-/// The selected target. First use resolves the TPF_KERNEL environment
-/// variable (its target token; schedule tokens are the CLI's business) and
-/// falls back to the widest available target. Never null. Not synchronized:
+/// The selected target. Unless setKernelTarget() chose one, the first use
+/// resolves the TPF_KERNEL environment variable; an unknown or unavailable
+/// value prints one stderr line naming it and the target used instead (the
+/// widest available). Never null. setKernelTarget is not synchronized:
 /// select once at startup, before sweeps run on worker threads.
 const KernelTarget* activeKernelTarget();
 
@@ -58,18 +58,5 @@ const KernelTarget* activeKernelTarget();
 /// false (and leaves the selection unchanged) for unknown or unsupported
 /// names.
 bool setKernelTarget(const std::string& name);
-
-/// A parsed "[schedule:]target" kernel spec (--kernel / TPF_KERNEL).
-struct KernelSpec {
-    SweepSchedule schedule = SweepSchedule::Split;
-    std::string target = "auto";
-};
-
-/// Parse a kernel spec: colon-separated tokens, each either a schedule
-/// ("split" / "fused") or a target name ("auto" / "scalar" / "sse2" / "avx2"
-/// / "avx512"). Availability is NOT checked here — use setKernelTarget.
-/// Returns false with a message in \p err on malformed specs.
-bool parseKernelSpec(const std::string& spec, KernelSpec& out,
-                     std::string& err);
 
 } // namespace tpf::core

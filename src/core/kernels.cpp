@@ -8,29 +8,32 @@ namespace {
 
 /// Vectorized sweeps go through the runtime-selected instruction-set target
 /// (core/kernel_dispatch.h). The cellwise phi body is always 4-wide; the
-/// multi-cell bodies need nx >= target width, below which the compile-time
-/// Vec4d entry points take over (bitwise identical — the targets only differ
-/// in instruction encoding, never in arithmetic).
+/// multi-cell bodies need nx >= target width. A narrower block runs on the
+/// widest available target that fits, else on the narrowest (scalar) —
+/// bitwise identical, since the targets only differ in instruction
+/// encoding, never in arithmetic.
+const KernelTarget* multiCellTarget(int nx) {
+    const KernelTarget* t = activeKernelTarget();
+    if (t->width <= nx) return t;
+    const auto all = availableKernelTargets(); // narrowest first
+    for (auto it = all.rbegin(); it != all.rend(); ++it)
+        if ((*it)->width <= nx) return *it;
+    return all.front();
+}
+
 void dispatchPhiCellwise(SimBlock& b, const StepContext& ctx, bool useTz,
                          bool useStag, bool shortcuts) {
     activeKernelTarget()->phiCellwise(b, ctx, useTz, useStag, shortcuts);
 }
 
 void dispatchPhiMultiCell(SimBlock& b, const StepContext& ctx) {
-    const KernelTarget* t = activeKernelTarget();
-    if (b.size.x >= t->width)
-        t->phiMultiCell(b, ctx);
-    else
-        phiSweepSimdFourCell(b, ctx);
+    multiCellTarget(b.size.x)->phiMultiCell(b, ctx);
 }
 
 void dispatchMuMultiCell(SimBlock& b, const StepContext& ctx, bool useTz,
                          bool useStag, bool shortcuts, MuSweepPart part) {
-    const KernelTarget* t = activeKernelTarget();
-    if (b.size.x >= t->width)
-        t->muMultiCell(b, ctx, useTz, useStag, shortcuts, part);
-    else
-        muSweepSimdFourCell(b, ctx, useTz, useStag, shortcuts, part);
+    multiCellTarget(b.size.x)->muMultiCell(b, ctx, useTz, useStag, shortcuts,
+                                           part);
 }
 
 } // namespace

@@ -55,14 +55,6 @@ enum class MuKernelKind {
     SimdTzStagCut,
 };
 
-/// How the per-step phi and mu sweeps are scheduled by the solver:
-/// Split streams the whole domain twice (phi sweep, exchange, mu sweep);
-/// Fused temporally blocks both sweeps over the z-slab partition of
-/// core/slab_sweep.h so each cell's stencil data is touched once per step
-/// (mu for slab k-1 runs as soon as the fresh phi of its one-slab halo
-/// exists — see core/fused_sweep.h and docs/KERNELS.md "Fused sweep").
-enum class SweepSchedule { Split, Fused };
-
 /// Which part of the mu-sweep to execute — the split that enables phi
 /// communication hiding (Algorithm 2): the "local" part is everything except
 /// the anti-trapping divergence (only cell-local phi_dst dependencies); the
@@ -117,20 +109,16 @@ const std::vector<MuKernelKind>& allMuKernels();
 bool needsTzCache(PhiKernelKind k);
 bool needsTzCache(MuKernelKind k);
 
-// --- individual implementations (defined in the phi_kernel_* / mu_kernel_*
-// translation units; prefer runPhiKernel/runMuKernel for dispatch) ---
+// --- scalar implementations (defined in the phi_kernel_* / mu_kernel_*
+// translation units; prefer runPhiKernel/runMuKernel, the only way to reach
+// the vectorized variants — core/kernel_dispatch.h) ---
 void phiSweepGeneral(SimBlock& b, const StepContext& ctx);
 void phiSweepBasic(SimBlock& b, const StepContext& ctx);
 void phiSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts);
-void phiSweepSimdCellwise(SimBlock& b, const StepContext& ctx, bool useTz,
-                          bool useStag, bool shortcuts);
-void phiSweepSimdFourCell(SimBlock& b, const StepContext& ctx);
 
 void muSweepGeneral(SimBlock& b, const StepContext& ctx);
 void muSweepBasic(SimBlock& b, const StepContext& ctx, MuSweepPart part);
 void muSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts,
                       MuSweepPart part);
-void muSweepSimdFourCell(SimBlock& b, const StepContext& ctx, bool useTz,
-                         bool useStag, bool shortcuts, MuSweepPart part);
 
 } // namespace tpf::core

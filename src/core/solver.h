@@ -42,12 +42,6 @@ struct SolverConfig {
     PhiKernelKind phiKernel = PhiKernelKind::SimdTzStagCut;
     MuKernelKind muKernel = MuKernelKind::SimdTzStagCut;
 
-    /// Split: phi sweep, phi exchange, mu sweep (Algorithm 1/2). Fused: the
-    /// phi and mu sweeps interleave over the z-slab partition so fresh phi is
-    /// consumed while cache-resident (core/fused_sweep.h). Bitwise identical
-    /// to Split; requires overlapPhi == false and a single block in x and y.
-    SweepSchedule schedule = SweepSchedule::Split;
-
     /// Communication hiding (Algorithm 2). The paper's best configuration is
     /// mu-overlap only: hiding the phi communication requires the split
     /// mu-sweep whose overhead exceeds the gain.
@@ -137,11 +131,6 @@ private:
     /// Slab-parallel phi/mu sweep of one block (serial when pool_ is null).
     void sweepPhi(std::size_t blockSlot, SimBlock& b);
     void sweepMu(std::size_t blockSlot, SimBlock& b, MuSweepPart part);
-    /// Once-per-step muSrc ghost preparation of the fused schedule: waits for
-    /// the overlapMu exchange and applies the mu boundaries before the first
-    /// mu slab (wherever in the pipeline that happens to be). Idempotent;
-    /// fusedMuReady_ is reset at the start of each fused sweep.
-    void fusedMuPrep();
 
     SolverConfig cfg_;
     vmpi::Comm* comm_;
@@ -162,7 +151,6 @@ private:
     double time_ = 0.0;
     double windowOffset_ = 0.0;
     bool initialized_ = false;
-    bool fusedMuReady_ = false;
 };
 
 } // namespace tpf::core

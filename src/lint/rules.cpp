@@ -350,13 +350,15 @@ void ruleCollectiveInConditional(const ScannedFile& f,
 // ---------------------------------------------------------------------------
 // raw-intrinsics: x86 vector intrinsics live in src/simd only.
 //
-// The runtime dispatch (core/kernel_dispatch.h) compiles the same kernel
-// bodies once per ISA target; that stays bitwise-equivalent only because
-// every vector operation goes through the simd::Vec4d*/Vec8d* wrappers,
-// whose per-lane arithmetic is pinned by tests/test_simd.cpp. A raw __m256d
-// or _mm512_*() call anywhere else bypasses the abstraction: it hard-codes
-// one ISA, breaks the scalar/SSE2 fallback builds at compile time, and its
-// arithmetic is invisible to the cross-backend equivalence tests.
+// The runtime dispatch (core/kernel_dispatch.h) is the only path the
+// vectorized sweeps take: it compiles the same kernel bodies once per ISA
+// target, each in its own TU with per-file ISA flags. That stays
+// bitwise-equivalent only because every vector operation goes through the
+// simd::Vec4d*/Vec8d* wrappers, whose per-lane arithmetic is pinned by
+// tests/test_simd.cpp. A raw __m256d or _mm512_*() call anywhere else
+// bypasses the abstraction: it hard-codes one ISA, breaks the portable
+// (TPF_NATIVE_ARCH=OFF) build at compile time, and its arithmetic is
+// invisible to the cross-target equivalence tests.
 // ---------------------------------------------------------------------------
 void ruleRawIntrinsics(const ScannedFile& f, std::vector<Finding>& out) {
     static const char* kRule = "raw-intrinsics";
@@ -372,8 +374,8 @@ void ruleRawIntrinsics(const ScannedFile& f, std::vector<Finding>& out) {
                        static_cast<int>(m.position(0)) + 1,
                        "raw x86 SIMD ('" + m[0].str() +
                            "') outside src/simd: it hard-codes one ISA, "
-                           "breaks the scalar/SSE2 fallback builds and "
-                           "escapes the cross-backend bitwise-equivalence "
+                           "breaks the portable build and escapes the "
+                           "cross-target bitwise-equivalence "
                            "tests the runtime dispatch relies on",
                        "go through the simd::Vec4d*/Vec8d* wrappers "
                        "(src/simd/) and the width-generic kernel bodies; if "
@@ -422,7 +424,7 @@ void ruleAssertMacro(const ScannedFile& f, std::vector<Finding>& out) {
 // millions of times per step, sink the <2% overhead contract pinned by
 // bench_obs/test_perf, and perturb the code layout of the very loops the
 // cross-backend bitwise-equivalence tests compare. Kernel bodies stay
-// obs-free; instrument the callers (timeloop functors, slab/fused sweeps).
+// obs-free; instrument the callers (timeloop functors, slab sweeps).
 // ---------------------------------------------------------------------------
 void ruleObsInKernels(const ScannedFile& f, std::vector<Finding>& out) {
     static const char* kRule = "obs-in-kernels";
@@ -438,7 +440,7 @@ void ruleObsInKernels(const ScannedFile& f, std::vector<Finding>& out) {
                          "overhead contract and perturbs the hot loops the "
                          "cross-backend bitwise tests compare",
                    "instrument the caller instead (timeloop functors, "
-                   "slab/fused sweep drivers) — kernel targets and *_body.h "
+                   "slab sweep drivers) — kernel targets and *_body.h "
                    "headers stay observability-free by construction");
     };
 

@@ -12,8 +12,8 @@
 ///       "machine": "x86-64 fma avx2 avx512f, 4 hw threads",
 ///       "entries": [
 ///         {
-///           "bench": "bench_fused",
-///           "variant": "split 60^3 t1",
+///           "bench": "bench_roofline",
+///           "variant": "mu simd+Tz+stag+cut 60^3 t1",
 ///           "mlups": 3.2156789012345678,
 ///           "bytes_per_cell": 680
 ///         }
@@ -49,8 +49,8 @@ public:
 inline constexpr const char* kBenchSchema = "tpf-bench v1";
 
 struct BenchEntry {
-    std::string bench;   ///< producing binary, e.g. "bench_fused"
-    std::string variant; ///< measurement label, e.g. "fused 60^3 t1"
+    std::string bench;   ///< producing binary, e.g. "bench_roofline"
+    std::string variant; ///< measurement label, e.g. "mu 60^3 t1"
     double mlups = 0.0;
     double bytesPerCell = 0.0; ///< 0 = no traffic model for this entry
 };

@@ -1,16 +1,12 @@
-/// The kernel-equivalence lockdown of the fused schedule and the runtime
-/// SIMD dispatch (docs/KERNELS.md):
+/// The kernel-equivalence lockdown of the runtime SIMD dispatch
+/// (docs/KERNELS.md): every dispatch target the host CPU can run (scalar /
+/// sse2 / avx2 / avx512) must produce **bitwise** the same fields as the
+/// scalar target — serial and threaded multi-rank, moving window on and off,
+/// with the production mu-overlap communication hiding on.
 ///
-///   1. The fused phi/mu sweep must be **bitwise** identical to the split
-///      schedule — for ranks {1,2,4} x threads {1,4} x moving window {on,off},
-///      with the production mu-overlap communication hiding on, and for
-///      every dispatch target the host CPU can run.
-///   2. Every dispatch target (scalar / sse2 / avx2 / avx512) must produce
-///      bitwise the same fields as every other, under both schedules.
-///
-/// Both contracts are exact (memcmp over the interiors), so any reassociation
-/// slipped into a width-8 body, a wrong slab halo in the fused pipeline, or a
-/// misordered ghost exchange fails loudly rather than drifting.
+/// The contract is exact (memcmp over the interiors), so any reassociation
+/// slipped into a width-8 body or a misordered ghost exchange fails loudly
+/// rather than drifting.
 
 #include <gtest/gtest.h>
 
@@ -31,20 +27,18 @@ struct TargetGuard {
     ~TargetGuard() { core::setKernelTarget("auto"); }
 };
 
-core::SolverConfig makeConfig(int ranks, int threads, bool window,
-                              core::SweepSchedule schedule) {
+core::SolverConfig makeConfig(int ranks, int threads, bool window) {
     core::SolverConfig cfg;
     cfg.globalCells = {16, 16, 32};
     if (ranks > 1) cfg.blockSize = {16, 16, 32 / ranks};
     cfg.threads = threads;
-    cfg.schedule = schedule;
     cfg.overlapMu = true; // the paper's production communication hiding
     cfg.model.temp.gradient = 0.5;
     cfg.model.temp.zEut0 = 12.0;
     if (window) {
         // Window-heavy scenario borrowed from the restart tests: the solid
-        // fill starts far above the trigger, so shifts happen mid-run and the
-        // fused schedule has to get the shifted ghosts right too.
+        // fill starts far above the trigger, so shifts happen mid-run and
+        // every target has to get the shifted ghosts right too.
         cfg.model.temp.velocity = 0.02;
         cfg.init.fillHeight = 26;
         cfg.window.enabled = true;
@@ -95,14 +89,14 @@ std::string diffSnapshots(const std::vector<double>& a,
     return "memcmp differs but no differing element found (padding?)";
 }
 
-/// Runs \p steps under the given schedule on \p ranks virtual ranks and
+/// Runs \p steps of \p cfg on \p ranks virtual ranks and
 /// returns one interior snapshot per rank (plus the final window offset).
 struct RunResult {
     std::vector<std::vector<double>> perRank;
     double windowOffset = 0.0;
 };
 
-RunResult runSchedule(const core::SolverConfig& cfg, int ranks, int steps) {
+RunResult runSolver(const core::SolverConfig& cfg, int ranks, int steps) {
     RunResult r;
     r.perRank.resize(static_cast<std::size_t>(ranks));
     auto body = [&](vmpi::Comm* comm) {
@@ -141,42 +135,8 @@ RunResult runSchedule(const core::SolverConfig& cfg, int ranks, int steps) {
 
 constexpr int kSteps = 12;
 
-/// Contract 1: fused == split, bitwise, across the full ranks x threads x
-/// window matrix with the startup dispatch target.
-TEST(KernelEquivalence, FusedMatchesSplitBitwise) {
-    for (const int ranks : {1, 2, 4}) {
-        for (const int threads : {1, 4}) {
-            for (const bool window : {false, true}) {
-                SCOPED_TRACE("ranks=" + std::to_string(ranks) +
-                             " threads=" + std::to_string(threads) +
-                             " window=" + std::to_string(window));
-                const RunResult split = runSchedule(
-                    makeConfig(ranks, threads, window,
-                               core::SweepSchedule::Split),
-                    ranks, kSteps);
-                const RunResult fused = runSchedule(
-                    makeConfig(ranks, threads, window,
-                               core::SweepSchedule::Fused),
-                    ranks, kSteps);
-                if (window) {
-                    // The scenario must actually shift mid-run, otherwise
-                    // the window leg of this matrix proves nothing.
-                    EXPECT_GT(split.windowOffset, 0.0)
-                        << "no window shift in the window-on scenario";
-                }
-                for (int rk = 0; rk < ranks; ++rk) {
-                    const std::string d = diffSnapshots(
-                        split.perRank[static_cast<std::size_t>(rk)],
-                        fused.perRank[static_cast<std::size_t>(rk)]);
-                    EXPECT_TRUE(d.empty()) << "rank " << rk << ": " << d;
-                }
-            }
-        }
-    }
-}
-
-/// Contract 2: every available dispatch target reproduces the narrowest
-/// (scalar) target bitwise, under both schedules, serial and threaded+ranked.
+/// Every available dispatch target reproduces the narrowest (scalar) target
+/// bitwise, serial and threaded+ranked.
 TEST(KernelEquivalence, DispatchTargetsMatchBitwise) {
     TargetGuard guard;
     const auto targets = core::availableKernelTargets();
@@ -191,42 +151,41 @@ TEST(KernelEquivalence, DispatchTargetsMatchBitwise) {
 
     for (const auto& leg : legs) {
         for (const bool window : {false, true}) {
-            for (const auto schedule : {core::SweepSchedule::Split,
-                                        core::SweepSchedule::Fused}) {
-                SCOPED_TRACE(
-                    "ranks=" + std::to_string(leg.ranks) +
-                    " threads=" + std::to_string(leg.threads) +
-                    " window=" + std::to_string(window) + " schedule=" +
-                    (schedule == core::SweepSchedule::Fused ? "fused"
-                                                            : "split"));
-                const core::SolverConfig cfg =
-                    makeConfig(leg.ranks, leg.threads, window, schedule);
+            SCOPED_TRACE("ranks=" + std::to_string(leg.ranks) +
+                         " threads=" + std::to_string(leg.threads) +
+                         " window=" + std::to_string(window));
+            const core::SolverConfig cfg =
+                makeConfig(leg.ranks, leg.threads, window);
 
-                RunResult ref;
-                for (const core::KernelTarget* t : targets) {
-                    SCOPED_TRACE(std::string("target=") + t->name);
-                    ASSERT_TRUE(core::setKernelTarget(t->name));
-                    RunResult got = runSchedule(cfg, leg.ranks, kSteps);
-                    if (t == targets.front()) {
-                        ref = std::move(got);
-                        continue;
+            RunResult ref;
+            for (const core::KernelTarget* t : targets) {
+                SCOPED_TRACE(std::string("target=") + t->name);
+                ASSERT_TRUE(core::setKernelTarget(t->name));
+                RunResult got = runSolver(cfg, leg.ranks, kSteps);
+                if (t == targets.front()) {
+                    ref = std::move(got);
+                    // The scenario must actually shift mid-run, otherwise
+                    // the window leg of this matrix proves nothing.
+                    if (window) {
+                        EXPECT_GT(ref.windowOffset, 0.0)
+                            << "no window shift in the window-on scenario";
                     }
-                    for (int rk = 0; rk < leg.ranks; ++rk) {
-                        const std::string d = diffSnapshots(
-                            ref.perRank[static_cast<std::size_t>(rk)],
-                            got.perRank[static_cast<std::size_t>(rk)]);
-                        EXPECT_TRUE(d.empty())
-                            << "rank " << rk << ": " << d;
-                    }
+                    continue;
+                }
+                for (int rk = 0; rk < leg.ranks; ++rk) {
+                    const std::string d = diffSnapshots(
+                        ref.perRank[static_cast<std::size_t>(rk)],
+                        got.perRank[static_cast<std::size_t>(rk)]);
+                    EXPECT_TRUE(d.empty()) << "rank " << rk << ": " << d;
                 }
             }
         }
     }
 }
 
-/// The dispatch plumbing itself: unknown names are rejected without changing
-/// the selection, "auto" restores the widest target, and the kernel-spec
-/// parser splits schedule and target tokens correctly.
+/// The dispatch plumbing itself: unknown names — including the retired
+/// "schedule:target" specs — are rejected without changing the selection,
+/// and "auto" restores the widest target.
 TEST(KernelEquivalence, DispatchSelection) {
     TargetGuard guard;
     const auto targets = core::availableKernelTargets();
@@ -243,23 +202,10 @@ TEST(KernelEquivalence, DispatchSelection) {
     EXPECT_STREQ(core::activeKernelTarget()->name, "scalar");
     EXPECT_EQ(core::activeKernelTarget()->width, 4);
 
-    core::KernelSpec spec;
-    std::string err;
-    EXPECT_TRUE(core::parseKernelSpec("fused:avx2", spec, err)) << err;
-    EXPECT_EQ(spec.schedule, core::SweepSchedule::Fused);
-    EXPECT_EQ(spec.target, "avx2");
-
-    EXPECT_TRUE(core::parseKernelSpec("scalar", spec, err)) << err;
-    EXPECT_EQ(spec.schedule, core::SweepSchedule::Split);
-    EXPECT_EQ(spec.target, "scalar");
-
-    EXPECT_TRUE(core::parseKernelSpec("split", spec, err)) << err;
-    EXPECT_EQ(spec.target, "auto");
-
-    EXPECT_FALSE(core::parseKernelSpec("fused:fused", spec, err));
-    EXPECT_FALSE(err.empty());
-    EXPECT_FALSE(core::parseKernelSpec("bogus", spec, err));
-    EXPECT_FALSE(core::parseKernelSpec("", spec, err));
+    for (const char* bad : {"fused:scalar", "split:scalar", "fused", ""}) {
+        EXPECT_FALSE(core::setKernelTarget(bad)) << "'" << bad << "'";
+        EXPECT_STREQ(core::activeKernelTarget()->name, "scalar");
+    }
 }
 
 } // namespace

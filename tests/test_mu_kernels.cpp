@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "comm/exchange.h"
+#include "core/kernel_dispatch.h"
 #include "core/kernels.h"
 #include "core/regions.h"
 #include "thermo/agalcu.h"
@@ -270,32 +271,54 @@ TEST(MuKernel, PureDiffusionRelaxesPerturbation) {
 }
 
 // --- four-cell vectorization guards -----------------------------------------
-// The active Vec4d backend is a compile-time choice (AVX2 with
-// -march=native/TPF_NATIVE_ARCH, SSE2 otherwise), so running this suite in
-// both build configurations exercises the nx % 4 guard in both backends.
+// Every vectorized sweep runs on a runtime dispatch target, so each guard is
+// checked on every target this CPU supports. A block narrower than a
+// target's multi-cell width (nx = 4 under avx512) runs on the widest target
+// that fits, and must still match scalar exactly.
+
+/// Restores the startup dispatch choice no matter how a test exits.
+struct TargetGuard {
+    ~TargetGuard() { setKernelTarget("auto"); }
+};
 
 TEST(MuKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
     // nx = 4 is the narrowest block the four-cell kernel accepts.
+    TargetGuard guard;
     MuFixture fx;
     auto ref = fx.makeBlock(Scenario::Interface, 77, {4, 8, 8});
-    auto tst = fx.makeBlock(Scenario::Interface, 77, {4, 8, 8});
-    ASSERT_EQ(ref->phiDst.maxAbsDiff(tst->phiDst), 0.0);
-
     auto cr = fx.ctx(*ref);
     runMuKernel(MuKernelKind::Basic, *ref, cr);
-    auto ct = fx.ctx(*tst);
-    runMuKernel(MuKernelKind::SimdTzStagCut, *tst, ct);
 
-    EXPECT_LT(ref->muDst.maxAbsDiff(tst->muDst), 1e-11);
+    std::unique_ptr<SimBlock> scalar;
+    for (const KernelTarget* t : availableKernelTargets()) {
+        SCOPED_TRACE(std::string("target=") + t->name);
+        ASSERT_TRUE(setKernelTarget(t->name));
+        auto tst = fx.makeBlock(Scenario::Interface, 77, {4, 8, 8});
+        ASSERT_EQ(ref->phiDst.maxAbsDiff(tst->phiDst), 0.0);
+        auto ct = fx.ctx(*tst);
+        runMuKernel(MuKernelKind::SimdTzStagCut, *tst, ct);
+
+        EXPECT_LT(ref->muDst.maxAbsDiff(tst->muDst), 1e-11);
+        if (scalar == nullptr) {
+            scalar = std::move(tst); // availableKernelTargets() starts there
+        } else {
+            EXPECT_EQ(scalar->muDst.maxAbsDiff(tst->muDst), 0.0);
+        }
+    }
 }
 
 TEST(MuKernelSimdGuardsDeathTest, RejectsNxNotDivisibleByFour) {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TargetGuard guard;
     MuFixture fx;
     auto b = fx.makeBlock(Scenario::Interface, 77, {6, 8, 8});
     auto c = fx.ctx(*b);
-    EXPECT_DEATH(runMuKernel(MuKernelKind::SimdTzStagCut, *b, c),
-                 "divisible by 4");
+    for (const KernelTarget* t : availableKernelTargets()) {
+        SCOPED_TRACE(std::string("target=") + t->name);
+        ASSERT_TRUE(setKernelTarget(t->name));
+        EXPECT_DEATH(runMuKernel(MuKernelKind::SimdTzStagCut, *b, c),
+                     "divisible by 4");
+    }
 }
 
 } // namespace

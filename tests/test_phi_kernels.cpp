@@ -15,6 +15,7 @@
 #include <cctype>
 #include <cmath>
 
+#include "core/kernel_dispatch.h"
 #include "core/kernels.h"
 #include "core/regions.h"
 #include "thermo/agalcu.h"
@@ -255,31 +256,53 @@ TEST(PhiKernel, RegionClassificationOfScenarios) {
 }
 
 // --- four-cell vectorization guards -----------------------------------------
-// The active Vec4d backend is a compile-time choice (AVX2 with
-// -march=native/TPF_NATIVE_ARCH, SSE2 otherwise), so running this suite in
-// both build configurations exercises the nx % 4 guard in both backends.
+// Every vectorized sweep runs on a runtime dispatch target, so each guard is
+// checked on every target this CPU supports. A block narrower than a
+// target's multi-cell width (nx = 4 under avx512) runs on the widest target
+// that fits, and must still match scalar exactly.
+
+/// Restores the startup dispatch choice no matter how a test exits.
+struct TargetGuard {
+    ~TargetGuard() { setKernelTarget("auto"); }
+};
 
 TEST(PhiKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
     // nx = 4 is the narrowest block the four-cell kernel accepts.
+    TargetGuard guard;
     KernelFixture fx;
     auto ref = fx.makeBlock(Scenario::Interface, {4, 8, 8}, 77);
-    auto tst = fx.makeBlock(Scenario::Interface, {4, 8, 8}, 77);
-
     auto ctxRef = fx.ctx(*ref);
     runPhiKernel(PhiKernelKind::Basic, *ref, ctxRef);
-    auto ctxTst = fx.ctx(*tst);
-    runPhiKernel(PhiKernelKind::SimdFourCell, *tst, ctxTst);
 
-    EXPECT_LT(maxDiff(ref->phiDst, tst->phiDst), 1e-11);
+    std::unique_ptr<SimBlock> scalar;
+    for (const KernelTarget* t : availableKernelTargets()) {
+        SCOPED_TRACE(std::string("target=") + t->name);
+        ASSERT_TRUE(setKernelTarget(t->name));
+        auto tst = fx.makeBlock(Scenario::Interface, {4, 8, 8}, 77);
+        auto ctxTst = fx.ctx(*tst);
+        runPhiKernel(PhiKernelKind::SimdFourCell, *tst, ctxTst);
+
+        EXPECT_LT(maxDiff(ref->phiDst, tst->phiDst), 1e-11);
+        if (scalar == nullptr) {
+            scalar = std::move(tst); // availableKernelTargets() starts there
+        } else {
+            EXPECT_EQ(maxDiff(scalar->phiDst, tst->phiDst), 0.0);
+        }
+    }
 }
 
 TEST(PhiKernelSimdGuardsDeathTest, RejectsNxNotDivisibleByFour) {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TargetGuard guard;
     KernelFixture fx;
     auto b = fx.makeBlock(Scenario::Interface, {6, 8, 8}, 77);
     auto ctx = fx.ctx(*b);
-    EXPECT_DEATH(runPhiKernel(PhiKernelKind::SimdFourCell, *b, ctx),
-                 "divisible by 4");
+    for (const KernelTarget* t : availableKernelTargets()) {
+        SCOPED_TRACE(std::string("target=") + t->name);
+        ASSERT_TRUE(setKernelTarget(t->name));
+        EXPECT_DEATH(runPhiKernel(PhiKernelKind::SimdFourCell, *b, ctx),
+                     "divisible by 4");
+    }
 }
 
 } // namespace

@@ -214,10 +214,6 @@ TEST(SimdCross, Avx2MatchesScalarOnRandomInputs) {
         EXPECT_EQ(va.rotateLeft1().lane(3), sa.rotateLeft1().lane(3));
     }
 }
-
-TEST(SimdCross, BackendNameReportsAvx2) {
-    EXPECT_EQ(backendName(), "AVX2");
-}
 #endif
 
 // ---------------------------------------------------------------------------

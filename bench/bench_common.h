@@ -1,10 +1,12 @@
 #pragma once
 /// \file bench_common.h
 /// Shared setup for the benchmark binaries: scenario-filled blocks, kernel
-/// timing, MLUP/s reporting.
+/// timing, MLUP/s reporting, command-line parsing.
 
+#include <charconv>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/kernels.h"
 #include "core/regions.h"
@@ -57,6 +59,24 @@ struct KernelBench {
 
 inline const char* scenarioLabel(core::Scenario s) {
     return core::scenarioName(s);
+}
+
+/// Parses a `--ranks` list such as "1,2,4". Every token must be a whole
+/// decimal number >= 1; an empty token ("4,"), trailing garbage ("2x") or a
+/// non-positive value yields an empty list, which callers reject.
+inline std::vector<int> parseRankList(const std::string& text) {
+    std::vector<int> out;
+    const char* p = text.data();
+    const char* const end = p + text.size();
+    for (;;) {
+        int r = 0;
+        const auto [next, ec] = std::from_chars(p, end, r);
+        if (ec != std::errc() || r < 1) return {};
+        out.push_back(r);
+        if (next == end) return out;
+        if (*next != ',') return {};
+        p = next + 1;
+    }
 }
 
 } // namespace tpf::bench

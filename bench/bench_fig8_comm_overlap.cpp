@@ -20,17 +20,14 @@
 ///                                 hardware_concurrency so the bench also
 ///                                 runs on single-core CI boxes).
 ///   --steps <n>                   timed steps per measurement (default 6).
-///   --json <path>                 upsert whole-step MLUP/s per config plus
-///                                 the blocked/overlapped step-time ratio
-///                                 into the BENCH_<n>.json trajectory.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/solver.h"
-#include "perf/bench_json.h"
 #include "perf/perf.h"
 #include "util/table.h"
 
@@ -91,39 +88,15 @@ CommTimes measure(vmpi::TransportKind kind, int ranks, bool overlapPhi,
     return result;
 }
 
-double mlupsOf(int ranks, double stepMs) {
-    const double cells = static_cast<double>(kBlock) * kBlock * kBlock * ranks;
-    return cells / (stepMs / 1000.0) / 1e6;
-}
-
-std::vector<int> parseRankList(const std::string& text) {
-    std::vector<int> out;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::string tok = text.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        const int r = std::atoi(tok.c_str());
-        if (r < 1) return {};
-        out.push_back(r);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
-    std::string jsonPath;
     std::vector<int> rankList{2, 4};
     int steps = 6;
     vmpi::TransportKind kind = vmpi::defaultTransport();
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
-            rankList = parseRankList(argv[++i]);
+        if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
+            rankList = bench::parseRankList(argv[++i]);
         } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
             steps = std::atoi(argv[++i]);
         } else if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc) {
@@ -134,7 +107,7 @@ int main(int argc, char** argv) {
         } else {
             std::fprintf(stderr,
                          "usage: %s [--transport <thread|shm|mpi>] "
-                         "[--ranks <a,b,...>] [--steps <n>] [--json <path>]\n",
+                         "[--ranks <a,b,...>] [--steps <n>]\n",
                          argv[0]);
             return 2;
         }
@@ -151,7 +124,6 @@ int main(int argc, char** argv) {
 
     Table t({"ranks", "phi no-overlap [ms]", "phi overlap [ms]",
              "mu no-overlap [ms]", "mu overlap [ms]", "best config"});
-    std::vector<perf::BenchEntry> entries;
 
     for (const int ranks : rankList) {
         const CommTimes plain = measure(kind, ranks, false, false, steps);
@@ -178,22 +150,6 @@ int main(int argc, char** argv) {
                   Table::num(both.phiMs, 3), Table::num(plain.muMs, 3),
                   Table::num(both.muMs, 3), best});
 
-        const std::string tag =
-            std::string(tname) + " r" + std::to_string(ranks) + " 40^3";
-        entries.push_back({"bench_fig8_comm_overlap", "blocked " + tag,
-                           mlupsOf(ranks, plain.stepMs), 0.0});
-        entries.push_back({"bench_fig8_comm_overlap", "mu-overlap " + tag,
-                           mlupsOf(ranks, muOnly.stepMs), 0.0});
-        entries.push_back({"bench_fig8_comm_overlap", "both-overlap " + tag,
-                           mlupsOf(ranks, both.stepMs), 0.0});
-        // The honest headline number: how much faster the overlapped step
-        // is than the fully blocked one, measured (not modeled). Stored in
-        // the mlups slot — it is a dimensionless speedup, as the variant
-        // label says.
-        entries.push_back({"bench_fig8_comm_overlap",
-                           "overlap-ratio (blocked/overlapped step) " + tag,
-                           plain.stepMs / both.stepMs, 0.0});
-
         std::printf("  [%s r%d] step: blocked %.2f ms, mu-overlap %.2f ms, "
                     "both %.2f ms -> overlap ratio %.3f\n",
                     tname, ranks, plain.stepMs, muOnly.stepMs, both.stepMs,
@@ -201,11 +157,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
     t.print();
-
-    if (!jsonPath.empty()) {
-        perf::upsertBenchFile(jsonPath, entries);
-        std::printf("\nwrote %s\n", jsonPath.c_str());
-    }
 
     std::printf("\nPaper's observations to verify: effective communication "
                 "times decrease with hiding enabled; phi communication is the "

@@ -16,18 +16,16 @@
 ///                                 of hardware_concurrency so the bench
 ///                                 also runs on single-core CI boxes).
 ///   --steps <n>                   timed steps per measurement (default 5).
-///   --json <path>                 upsert per-core MLUP/s per scenario and
-///                                 rank count into BENCH_<n>.json.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "comm/exchange.h"
 #include "core/kernels.h"
 #include "core/regions.h"
-#include "perf/bench_json.h"
 #include "perf/perf.h"
 #include "thermo/agalcu.h"
 #include "util/table.h"
@@ -101,34 +99,15 @@ double weakScaling(vmpi::TransportKind kind, int ranks, Scenario sc, int bs,
     return result;
 }
 
-std::vector<int> parseRankList(const std::string& text) {
-    std::vector<int> out;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::string tok = text.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        const int r = std::atoi(tok.c_str());
-        if (r < 1) return {};
-        out.push_back(r);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
-    std::string jsonPath;
     std::vector<int> rankList{1, 2, 4};
     int steps = 5;
     vmpi::TransportKind kind = vmpi::defaultTransport();
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
-            rankList = parseRankList(argv[++i]);
+        if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
+            rankList = bench::parseRankList(argv[++i]);
         } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
             steps = std::atoi(argv[++i]);
         } else if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc) {
@@ -139,7 +118,7 @@ int main(int argc, char** argv) {
         } else {
             std::fprintf(stderr,
                          "usage: %s [--transport <thread|shm|mpi>] "
-                         "[--ranks <a,b,...>] [--steps <n>] [--json <path>]\n",
+                         "[--ranks <a,b,...>] [--steps <n>]\n",
                          argv[0]);
             return 2;
         }
@@ -157,27 +136,16 @@ int main(int argc, char** argv) {
 
     Table t({"ranks", "interface [MLUP/s per core]", "liquid [MLUP/s per core]",
              "solid [MLUP/s per core]"});
-    std::vector<perf::BenchEntry> entries;
     for (const int ranks : rankList) {
         std::vector<std::string> row{std::to_string(ranks)};
         for (Scenario sc :
              {Scenario::Interface, Scenario::Liquid, Scenario::Solid}) {
             const double total = weakScaling(kind, ranks, sc, bs, steps);
             row.push_back(Table::num(total / ranks, 2));
-            entries.push_back({"bench_fig9_weak_scaling",
-                               std::string(core::scenarioName(sc)) + " " +
-                                   tname + " r" + std::to_string(ranks) +
-                                   " 40^3 per-core",
-                               total / ranks, 0.0});
         }
         t.addRow(std::move(row));
     }
     t.print();
-
-    if (!jsonPath.empty()) {
-        perf::upsertBenchFile(jsonPath, entries);
-        std::printf("\nwrote %s\n", jsonPath.c_str());
-    }
 
     std::printf("\nPaper's observations to verify: per-core throughput stays "
                 "roughly flat under weak scaling; the interface scenario is "

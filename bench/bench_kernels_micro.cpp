@@ -5,17 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
+#include <cmath>
 
-#include "bench_common.h"
 #include "comm/exchange.h"
 #include "core/kernels.h"
 #include "core/model_common.h"
 #include "core/regions.h"
-#include "perf/bench_json.h"
 #include "simd/simd.h"
 #include "simd/simplex4.h"
 #include "thermo/agalcu.h"
@@ -144,42 +139,4 @@ BENCHMARK(BM_GhostExchangeSerial);
 
 } // namespace
 
-/// BENCHMARK_MAIN() plus the --json flag for the BENCH_<n>.json trajectory.
-/// The JSON rows are measured with perf::timeIt / bench::KernelBench rather
-/// than scraped from the reporter: the Run-counter API shifts between
-/// google-benchmark versions, and the trajectory wants whole-sweep MLUP/s,
-/// which the shared KernelBench defines identically across bench binaries.
-int main(int argc, char** argv) {
-    std::string jsonPath;
-    std::vector<char*> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            jsonPath = argv[i + 1];
-            ++i;
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-    int bargc = static_cast<int>(args.size());
-    benchmark::Initialize(&bargc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-
-    if (!jsonPath.empty()) {
-        bench::KernelBench kb(core::Scenario::Interface, {40, 40, 40});
-        perf::upsertBenchFile(
-            jsonPath,
-            {{"bench_kernels_micro", "phi basic 40^3 t1",
-              kb.phiMlups(core::PhiKernelKind::Basic), 0.0},
-             {"bench_kernels_micro", "phi simd+Tz+stag+cut 40^3 t1",
-              kb.phiMlups(core::PhiKernelKind::SimdTzStagCut), 0.0},
-             {"bench_kernels_micro", "phi simd-fourcell 40^3 t1",
-              kb.phiMlups(core::PhiKernelKind::SimdFourCell), 0.0},
-             {"bench_kernels_micro", "mu basic 40^3 t1",
-              kb.muMlups(core::MuKernelKind::Basic), 0.0},
-             {"bench_kernels_micro", "mu simd+Tz+stag+cut 40^3 t1",
-              kb.muMlups(core::MuKernelKind::SimdTzStagCut), 0.0}});
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -1,24 +1,20 @@
 /// Per-stage cost of the in-situ mesh-extraction pipeline (io/mesh_pipeline.h):
 /// extract / simplify / gather+stitch wall time per streamed frame (one frame
-/// = all three phase surfaces of a solidifying 32x32x128 Voronoi melt (production-shaped: z-long, the geometry the moving-window runs use)) across
+/// = all three phase surfaces of a solidifying 32x32x128 Voronoi melt,
+/// production-shaped: z-long, the geometry the moving-window runs use) across
 /// ranks x threads decompositions, plus the in-situ overhead fraction at the
 /// production cadence of one frame every 100 steps — the budget the paper's
 /// I/O-reduction argument rests on (extraction must be cheap next to the
-/// solver, §3.2).
+/// solver, §3.2; docs/MESH.md).
 ///
-/// With --json <path> the measurements are upserted into the versioned
-/// BENCH_<n>.json trajectory (perf/bench_json.h); tests/test_perf.cpp gates
-/// the committed file (entries present, overhead fraction < 0.1).
+/// The production-step benchmark (prodbench/) times the same stages inside a
+/// solidify run as its io.mesh_*_ms metrics.
 
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/solver.h"
 #include "io/mesh_pipeline.h"
-#include "perf/bench_json.h"
 #include "perf/perf.h"
 #include "util/table.h"
 #include "vmpi/comm.h"
@@ -84,24 +80,13 @@ Result measure(int ranks, int threads) {
 
 } // namespace
 
-int main(int argc, char** argv) {
-    std::string jsonPath;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--json <path>]\n", argv[0]);
-            return 2;
-        }
-    }
-
+int main() {
     std::printf("== In-situ mesh pipeline, 32x32x128 solidify, %d phases, "
                 "%d frames ==\n\n",
                 kPhases, kFrames);
 
     Table t({"ranks", "threads", "extract [ms]", "simplify [ms]",
                    "gather [ms]", "frame [ms]", "step [ms]"});
-    std::vector<perf::BenchEntry> entries;
     double overheadAt100 = -1.0;
     for (const int ranks : {1, 2, 4}) {
         for (const int threads : {1, 4}) {
@@ -114,17 +99,6 @@ int main(int argc, char** argv) {
                       Table::num(frameMs, 3),
                       Table::num(r.stepMs, 3)});
 
-            char v[64];
-            std::snprintf(v, sizeof v, "extract r%d t%d ms/frame", ranks,
-                          threads);
-            entries.push_back({"bench_mesh", v, r.extractMs, 0.0});
-            std::snprintf(v, sizeof v, "simplify r%d t%d ms/frame", ranks,
-                          threads);
-            entries.push_back({"bench_mesh", v, r.simplifyMs, 0.0});
-            std::snprintf(v, sizeof v, "gather r%d t%d ms/frame", ranks,
-                          threads);
-            entries.push_back({"bench_mesh", v, r.gatherMs, 0.0});
-
             if (ranks == 1 && threads == 1)
                 overheadAt100 = frameMs / (100.0 * r.stepMs);
         }
@@ -133,14 +107,5 @@ int main(int argc, char** argv) {
     std::printf("\nin-situ overhead at one frame per 100 steps (r1 t1): "
                 "%.4f%% of solver time\n",
                 overheadAt100 * 100.0);
-    entries.push_back(
-        {"bench_mesh", "overhead fraction cadence100 r1 t1", overheadAt100,
-         0.0});
-
-    if (!jsonPath.empty()) {
-        perf::upsertBenchFile(jsonPath, entries);
-        std::printf("upserted %zu entries into %s\n", entries.size(),
-                    jsonPath.c_str());
-    }
     return 0;
 }

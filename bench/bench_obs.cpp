@@ -4,27 +4,24 @@
 /// every parallelFor) versus the same run with no sinks installed — the
 /// obs-off path every production run without --trace/--metrics takes.
 ///
-/// The contract pinned by tests/test_perf.cpp: the committed overhead
-/// fraction stays below 2%. That is what makes "leave the heartbeat and
-/// metrics on by default" a defensible operational stance for the paper's
-/// multi-day directional-solidification runs, where discovering a load
-/// imbalance after the fact costs a full re-run.
-///
-/// With --json <path> the measurements are upserted into the versioned
-/// BENCH_<n>.json trajectory (perf/bench_json.h).
+/// The budget (docs/OBSERVABILITY.md): the overhead stays below 2%. That is
+/// what makes "leave the heartbeat and metrics on by default" a defensible
+/// operational stance for the paper's multi-day directional-solidification
+/// runs, where discovering a load imbalance after the fact costs a full
+/// re-run. The overhead is printed signed: a negative value means the
+/// instrumented run measured faster, i.e. the run-to-run noise is larger
+/// than the telemetry cost. The production-step benchmark (prodbench/)
+/// reports the same quantity as trace_overhead_frac.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <vector>
 #include <unistd.h>
 
 #include "core/solver.h"
 #include "obs/run_obs.h"
-#include "perf/bench_json.h"
 #include "perf/perf.h"
 #include "util/table.h"
 
@@ -34,7 +31,7 @@ namespace {
 
 constexpr int kWarmupSteps = 8;
 constexpr int kTimedSteps = 48;
-constexpr int kReps = 3; ///< best-of reps: the gate wants the floor, not noise
+constexpr int kReps = 3; ///< best-of reps: the floor, not the noise
 
 core::SolverConfig obsBenchConfig() {
     core::SolverConfig cfg;
@@ -74,17 +71,7 @@ double measure(bool instrumented, const std::filesystem::path& scratch) {
 
 } // namespace
 
-int main(int argc, char** argv) {
-    std::string jsonPath;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--json <path>]\n", argv[0]);
-            return 2;
-        }
-    }
-
+int main() {
     namespace fs = std::filesystem;
     const fs::path scratch =
         fs::temp_directory_path() /
@@ -103,10 +90,7 @@ int main(int argc, char** argv) {
     }
     fs::remove_all(scratch);
 
-    // The committed figure is clamped to a small positive floor: run-to-run
-    // noise can make the instrumented run *faster*, and the trajectory gate
-    // (test_perf) requires every entry > 0.
-    const double overhead = std::max(1e-4, (off - on) / off);
+    const double overhead = (off - on) / off;
 
     Table t({"configuration", "MLUP/s", "overhead"});
     t.addRow({"obs off (no sinks)", Table::num(off, 3), "-"});
@@ -114,18 +98,7 @@ int main(int argc, char** argv) {
               Table::num(overhead * 100.0, 2) + "%"});
     t.print();
 
-    std::vector<perf::BenchEntry> entries;
-    entries.push_back(
-        {"bench_obs", "baseline obs-off 32x32x64 t1", off, 0.0});
-    entries.push_back(
-        {"bench_obs", "instrumented trace+metrics 32x32x64 t1", on, 0.0});
-    entries.push_back(
-        {"bench_obs", "overhead fraction trace+metrics t1", overhead, 0.0});
-
-    if (!jsonPath.empty()) {
-        perf::upsertBenchFile(jsonPath, entries);
-        std::printf("\nupserted %zu entries into %s\n", entries.size(),
-                    jsonPath.c_str());
-    }
+    std::printf("\nbudget: overhead < 2%%; a negative overhead means the "
+                "run-to-run noise exceeds the telemetry cost\n");
     return 0;
 }

@@ -8,11 +8,8 @@
 /// (=> compute bound), a double-digit percentage of the attainable FMA peak.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 #include "bench_common.h"
-#include "perf/bench_json.h"
 #include "perf/flops.h"
 #include "perf/roofline.h"
 #include "perf/streambench.h"
@@ -20,17 +17,7 @@
 using namespace tpf;
 using namespace tpf::bench;
 
-int main(int argc, char** argv) {
-    std::string jsonPath;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--json <path>]\n", argv[0]);
-            return 2;
-        }
-    }
-
+int main() {
     std::printf("== Roofline analysis (paper §5.1.1), one core ==\n\n");
 
     const auto stream = perf::runStream(/*megabytes=*/192, /*threads=*/1);
@@ -79,15 +66,5 @@ int main(int argc, char** argv) {
                 muMlups, muR.bandwidthBoundMlups,
                 muMlups < 0.5 * muR.bandwidthBoundMlups ? "compute"
                                                         : "bandwidth");
-
-    if (!jsonPath.empty()) {
-        perf::upsertBenchFile(
-            jsonPath,
-            {{"bench_roofline", "mu simd+Tz+stag 40^3 t1", muMlups,
-              perf::kMuBytesPerCell},
-             {"bench_roofline", "phi simd+Tz+stag 40^3 t1", phiMlups,
-              perf::kPhiBytesPerCell}});
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
     return 0;
 }

@@ -3,9 +3,10 @@
 #
 #   cmake -DREPO_ROOT=<repo> -P cmake/check_doc_refs.cmake
 #
-# Every `src/...`, `tests/...`, `bench/...`, `examples/...`, `docs/...` or
-# `cmake/...` token with a file extension found in the checked docs must name
-# an existing file. Directory references (no extension) are not checked.
+# Every `src/...`, `tests/...`, `bench/...`, `prodbench/...`, `examples/...`,
+# `docs/...` or `cmake/...` token with a file extension found in the checked
+# docs must name an existing file. Directory references (no extension) are
+# not checked.
 
 if(NOT DEFINED REPO_ROOT)
     get_filename_component(REPO_ROOT "${CMAKE_CURRENT_LIST_DIR}/.." ABSOLUTE)
@@ -27,7 +28,7 @@ foreach(doc IN LISTS checked_docs)
     endif()
     file(READ "${doc}" content)
     string(REGEX MATCHALL
-        "(src|tests|bench|examples|docs|cmake)/[A-Za-z0-9_/.-]*\\.(h|cpp|md|cmake|txt|yml)"
+        "(src|tests|prodbench|bench|examples|docs|cmake)/[A-Za-z0-9_/.-]*\\.(h|cpp|md|cmake|txt|yml)"
         refs "${content}")
     list(REMOVE_DUPLICATES refs)
     foreach(ref IN LISTS refs)

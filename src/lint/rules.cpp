@@ -421,8 +421,8 @@ void ruleAssertMacro(const ScannedFile& f, std::vector<Finding>& out) {
 // hooks sit at functor granularity in the timeloop and at the fan-out choke
 // point in util/thread_pool — outside the per-cell hot loops. A TPF_SPAN or
 // obs:: call inside a kernel body header or an ISA-target TU would execute
-// millions of times per step, sink the <2% overhead contract pinned by
-// bench_obs/test_perf, and perturb the code layout of the very loops the
+// millions of times per step, sink the <2% overhead budget measured by
+// bench_obs, and perturb the code layout of the very loops the
 // cross-backend bitwise-equivalence tests compare. Kernel bodies stay
 // obs-free; instrument the callers (timeloop functors, slab sweeps).
 // ---------------------------------------------------------------------------

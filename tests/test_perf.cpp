@@ -1,19 +1,8 @@
 /// Tests for the performance substrate: timers/MLUPs, STREAM bandwidth,
-/// FMA peak measurement, the roofline model, and the BENCH_<n>.json
-/// trajectory format (perf/bench_json.h) including the committed in-repo
-/// trajectory files themselves.
+/// FMA peak measurement, the roofline model and the flop model.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <string>
-#include <unistd.h>
-#include <utility>
-#include <vector>
-
-#include "perf/bench_json.h"
 #include "perf/flops.h"
 #include "perf/perf.h"
 #include "perf/roofline.h"
@@ -134,228 +123,6 @@ TEST(Flops, KernelEstimatesAreInTheExpectedRegime) {
     EXPECT_LT(kPhiFlopsPerCell, 3000.0);
     // Arithmetic intensity >> 1 flop/byte: compute bound, as in the paper.
     EXPECT_GT(kMuFlopsPerCell / kMuBytesPerCell, 2.0);
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_<n>.json trajectory format.
-
-BenchDoc sampleDoc() {
-    BenchDoc d;
-    d.machine = "x86-64 fma avx2, 4 hw threads";
-    d.entries = {{"bench_fig7_intranode", "r1 t1 60^3", 3.25, 680.0},
-                 {"bench_fig7_intranode", "r1 t4 60^3", 3.75, 680.0},
-                 {"bench_roofline", "mu simd+Tz+stag 40^3 t1", 4.5, 0.0}};
-    return d;
-}
-
-TEST(BenchJson, RoundTripPreservesEverything) {
-    const BenchDoc d = sampleDoc();
-    const BenchDoc r = parseBenchJson(writeBenchJson(d));
-    EXPECT_EQ(r.machine, d.machine);
-    ASSERT_EQ(r.entries.size(), d.entries.size());
-    for (std::size_t i = 0; i < d.entries.size(); ++i) {
-        EXPECT_EQ(r.entries[i].bench, d.entries[i].bench);
-        EXPECT_EQ(r.entries[i].variant, d.entries[i].variant);
-        EXPECT_EQ(r.entries[i].mlups, d.entries[i].mlups);
-        EXPECT_EQ(r.entries[i].bytesPerCell, d.entries[i].bytesPerCell);
-    }
-}
-
-TEST(BenchJson, SerializationIsDeterministicAndExact) {
-    // %.17g round-trips every double exactly; re-serializing a parsed
-    // document must reproduce it byte for byte (the committed BENCH files
-    // rely on this for clean diffs).
-    BenchDoc d = sampleDoc();
-    d.entries[0].mlups = 1.0 / 3.0;
-    d.entries[1].mlups = 3.2156789012345678;
-    d.entries[2].mlups = 1e-300;
-    const std::string once = writeBenchJson(d);
-    const std::string twice = writeBenchJson(parseBenchJson(once));
-    EXPECT_EQ(once, twice);
-    EXPECT_EQ(parseBenchJson(once).entries[0].mlups, 1.0 / 3.0);
-    EXPECT_EQ(parseBenchJson(once).entries[2].mlups, 1e-300);
-}
-
-TEST(BenchJson, ParserRejectsWithPointedErrors) {
-    const auto failsWith = [](const std::string& text,
-                              const std::string& needle) {
-        try {
-            parseBenchJson(text);
-            ADD_FAILURE() << "expected BenchJsonError for: " << text;
-        } catch (const BenchJsonError& e) {
-            EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-                << "message '" << e.what() << "' lacks '" << needle << "'";
-        }
-    };
-    failsWith("", "line 1");
-    failsWith("[]", "line 1");
-    failsWith("{\"schema\": \"nonsense v9\"", "schema");
-    // Pointed location: the error must name the line of the violation.
-    failsWith("{\n  \"schema\": \"tpf-bench v1\",\n  \"bogus\": 1\n}",
-              "line 3");
-    failsWith("{\n  \"schema\": \"tpf-bench v1\",\n  \"machine\": \"m\",\n"
-              "  \"entries\": [{\"bench\": \"b\"}]\n}",
-              "variant");
-    const std::string good = writeBenchJson(sampleDoc());
-    failsWith(good + "trailing", "trailing");
-    failsWith("{\"schema\": \"tpf-bench v1\", \"machine\": \"m\", "
-              "\"entries\": [{\"bench\": \"b\", \"variant\": \"v\", "
-              "\"mlups\": fast}]}",
-              "number");
-}
-
-TEST(BenchJson, UpsertReplacesMatchingRowsAndAppendsNew) {
-    BenchDoc d = sampleDoc();
-    upsertBenchEntries(
-        d, {{"bench_fig7_intranode", "r1 t4 60^3", 4.0, 680.0}, // replace
-            {"bench_kernels_micro", "phi basic 40^3 t1", 1.5, 0.0}}); // new
-    ASSERT_EQ(d.entries.size(), 4u);
-    EXPECT_EQ(d.entries[1].variant, "r1 t4 60^3");
-    EXPECT_EQ(d.entries[1].mlups, 4.0) << "matching row must be replaced";
-    EXPECT_EQ(d.entries[3].bench, "bench_kernels_micro")
-        << "unknown row must be appended at the end";
-    EXPECT_EQ(d.entries[0].mlups, 3.25) << "untouched rows must stay";
-}
-
-TEST(BenchJson, DiffGatesRegressionsOnTheSameMachineOnly) {
-    const BenchDoc base = sampleDoc();
-
-    BenchDoc same = base;
-    same.entries[1].mlups *= 0.9; // -10% with 20% tolerance: fine
-    EXPECT_TRUE(diffBench(base, same, 0.2).ok)
-        << diffBench(base, same, 0.2).message;
-
-    BenchDoc slow = base;
-    slow.entries[1].mlups *= 0.5; // -50%: regression
-    const BenchDiff d = diffBench(base, slow, 0.2);
-    EXPECT_FALSE(d.ok);
-    EXPECT_NE(d.message.find("r1 t4 60^3"), std::string::npos)
-        << d.message;
-
-    BenchDoc missing = base;
-    missing.entries.erase(missing.entries.begin());
-    EXPECT_FALSE(diffBench(base, missing, 0.2).ok)
-        << "a dropped entry must be reported";
-
-    BenchDoc other = slow;
-    other.machine = "some other box";
-    EXPECT_TRUE(diffBench(base, other, 0.2).ok)
-        << "trajectories from different machines must compare trivially ok";
-}
-
-TEST(BenchJson, FileRoundTripAndFreshUpsert) {
-    namespace fs = std::filesystem;
-    const fs::path p = fs::temp_directory_path() /
-                       ("tpf_bench_json_test_" + std::to_string(::getpid()) +
-                        ".json");
-    fs::remove(p);
-
-    // upsertBenchFile on a missing file starts a fresh machine-stamped doc.
-    upsertBenchFile(p.string(), {{"bench_x", "v1", 2.0, 0.0}});
-    BenchDoc d = readBenchJsonFile(p.string());
-    EXPECT_EQ(d.machine, machineFingerprint());
-    ASSERT_EQ(d.entries.size(), 1u);
-
-    // A second binary upserts into the same file without clobbering.
-    upsertBenchFile(p.string(), {{"bench_y", "v1", 3.0, 0.0}});
-    d = readBenchJsonFile(p.string());
-    ASSERT_EQ(d.entries.size(), 2u);
-    EXPECT_EQ(d.entries[0].bench, "bench_x");
-
-    fs::remove(p);
-    EXPECT_THROW(readBenchJsonFile(p.string()), BenchJsonError);
-}
-
-TEST(BenchJson, MachineFingerprintIsStableAndAnonymous) {
-    const std::string fp = machineFingerprint();
-    EXPECT_EQ(fp, machineFingerprint());
-    EXPECT_NE(fp.find("x86-64"), std::string::npos);
-    EXPECT_NE(fp.find("hw threads"), std::string::npos);
-}
-
-/// The ctest gate over the *committed* trajectory: every BENCH_<n>.json at
-/// the repo root must parse and carry plausible entries. Consecutive versions
-/// from the same machine must not regress by more than half (a deliberately
-/// loose tolerance: the gate exists to catch a catastrophic slowdown or a
-/// stale file, not run-to-run noise).
-TEST(BenchJson, CommittedTrajectoryIsValid) {
-    namespace fs = std::filesystem;
-    std::vector<std::pair<int, fs::path>> files;
-    for (const auto& e : fs::directory_iterator(TPF_REPO_ROOT)) {
-        const std::string name = e.path().filename().string();
-        int n = 0;
-        if (std::sscanf(name.c_str(), "BENCH_%d.json", &n) == 1)
-            files.emplace_back(n, e.path());
-    }
-    ASSERT_FALSE(files.empty())
-        << "no BENCH_<n>.json at the repo root — the perf trajectory is gone";
-    std::sort(files.begin(), files.end());
-
-    BenchDoc prev;
-    bool havePrev = false;
-    for (const auto& [n, path] : files) {
-        SCOPED_TRACE(path.string());
-        const BenchDoc doc = readBenchJsonFile(path.string());
-        EXPECT_FALSE(doc.machine.empty());
-        EXPECT_FALSE(doc.entries.empty());
-        for (const auto& en : doc.entries) {
-            EXPECT_GT(en.mlups, 0.0)
-                << en.bench << " / " << en.variant << " has no throughput";
-            EXPECT_LT(en.mlups, 1e6) << "implausible MLUP/s";
-        }
-        if (havePrev) {
-            const BenchDiff d = diffBench(prev, doc, 0.5);
-            EXPECT_TRUE(d.ok) << d.message;
-        }
-        prev = doc;
-        havePrev = true;
-    }
-
-    // The latest trajectory entry must carry the in-situ mesh pipeline
-    // measurements (bench_mesh) and stay inside the paper's budget: one
-    // frame every 100 steps must cost less than 10% of solver time, or the
-    // I/O-reduction argument of §3.2 collapses.
-    bool haveExtract = false, haveSimplify = false, haveGather = false;
-    double overhead = -1.0;
-    for (const auto& en : prev.entries) {
-        if (en.bench != "bench_mesh") continue;
-        if (en.variant.rfind("extract ", 0) == 0) haveExtract = true;
-        if (en.variant.rfind("simplify ", 0) == 0) haveSimplify = true;
-        if (en.variant.rfind("gather ", 0) == 0) haveGather = true;
-        if (en.variant == "overhead fraction cadence100 r1 t1")
-            overhead = en.mlups;
-    }
-    EXPECT_TRUE(haveExtract) << "latest BENCH is missing bench_mesh extract";
-    EXPECT_TRUE(haveSimplify) << "latest BENCH is missing bench_mesh simplify";
-    EXPECT_TRUE(haveGather) << "latest BENCH is missing bench_mesh gather";
-    ASSERT_GT(overhead, 0.0)
-        << "latest BENCH is missing the bench_mesh overhead fraction";
-    EXPECT_LT(overhead, 0.1)
-        << "in-situ extraction at cadence 100 exceeds 10% of solver time";
-
-    // The latest trajectory must also carry the telemetry-overhead proof
-    // (bench_obs): with tracing + metrics + fan-out stats fully on, step
-    // throughput stays within 2% of the uninstrumented run — the contract
-    // that makes always-on telemetry viable for multi-day runs
-    // (docs/OBSERVABILITY.md).
-    bool haveObsBaseline = false, haveObsInstrumented = false;
-    double obsOverhead = -1.0;
-    for (const auto& en : prev.entries) {
-        if (en.bench != "bench_obs") continue;
-        if (en.variant.rfind("baseline ", 0) == 0) haveObsBaseline = true;
-        if (en.variant.rfind("instrumented ", 0) == 0)
-            haveObsInstrumented = true;
-        if (en.variant == "overhead fraction trace+metrics t1")
-            obsOverhead = en.mlups;
-    }
-    EXPECT_TRUE(haveObsBaseline)
-        << "latest BENCH is missing the bench_obs obs-off baseline";
-    EXPECT_TRUE(haveObsInstrumented)
-        << "latest BENCH is missing the bench_obs instrumented run";
-    ASSERT_GT(obsOverhead, 0.0)
-        << "latest BENCH is missing the bench_obs overhead fraction";
-    EXPECT_LT(obsOverhead, 0.02)
-        << "telemetry overhead exceeds the 2% non-perturbation budget";
 }
 
 } // namespace

@@ -5,7 +5,7 @@
 
 #include <charconv>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/kernels.h"
@@ -61,21 +61,28 @@ inline const char* scenarioLabel(core::Scenario s) {
     return core::scenarioName(s);
 }
 
-/// Parses a `--ranks` list such as "1,2,4". Every token must be a whole
-/// decimal number >= 1; an empty token ("4,"), trailing garbage ("2x") or a
-/// non-positive value yields an empty list, which callers reject.
-inline std::vector<int> parseRankList(const std::string& text) {
+/// Parses a whole decimal number >= 1. Trailing garbage ("6x"), an empty
+/// string, a sign, a non-positive or an out-of-range value yield 0, which
+/// callers reject.
+inline int parsePositiveInt(std::string_view text) {
+    const char* const end = text.data() + text.size();
+    int v = 0;
+    const auto [next, ec] = std::from_chars(text.data(), end, v);
+    return ec == std::errc() && next == end && v >= 1 ? v : 0;
+}
+
+/// Parses a `--ranks` list such as "1,2,4": every comma-separated token must
+/// pass parsePositiveInt, so "4," or "2x" yields an empty list, which callers
+/// reject.
+inline std::vector<int> parseRankList(std::string_view text) {
     std::vector<int> out;
-    const char* p = text.data();
-    const char* const end = p + text.size();
     for (;;) {
-        int r = 0;
-        const auto [next, ec] = std::from_chars(p, end, r);
-        if (ec != std::errc() || r < 1) return {};
+        const std::size_t comma = text.find(',');
+        const int r = parsePositiveInt(text.substr(0, comma));
+        if (r == 0) return {};
         out.push_back(r);
-        if (next == end) return out;
-        if (*next != ',') return {};
-        p = next + 1;
+        if (comma == std::string_view::npos) return out;
+        text.remove_prefix(comma + 1);
     }
 }
 

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
         if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
             rankList = bench::parseRankList(argv[++i]);
         } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-            steps = std::atoi(argv[++i]);
+            steps = bench::parsePositiveInt(argv[++i]);
         } else if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc) {
             if (!vmpi::parseTransportName(argv[++i], kind)) {
                 std::fprintf(stderr, "unknown transport '%s'\n", argv[i]);

@@ -473,7 +473,7 @@ int main(int argc, char** argv) {
         "max/avg load imbalance for --ranks > 1)");
     opt.outdir = cli.getString("out", "tpf_output", "output directory");
     const std::string overlap = cli.getString(
-        "overlap", "mu", "communication hiding: none, mu, phi, both");
+        "overlap", "mu", "communication hiding: none, mu");
     const std::string transportFlag = cli.getString(
         "transport", "",
         "message transport for --ranks > 1: thread (in-process), shm "
@@ -567,10 +567,8 @@ int main(int argc, char** argv) {
     cfg.init.fillHeight = fillHeight >= 0 ? fillHeight : 3 * size.z / 16;
     cfg.init.seedsPerArea = seeds;
     cfg.window.enabled = window;
-    cfg.overlapMu = overlap == "mu" || overlap == "both";
-    cfg.overlapPhi = overlap == "phi" || overlap == "both";
-    if (overlap != "none" && overlap != "mu" && overlap != "phi" &&
-        overlap != "both") {
+    cfg.overlapMu = overlap == "mu";
+    if (overlap != "none" && overlap != "mu") {
         std::fprintf(stderr, "unknown --overlap '%s'\n", overlap.c_str());
         return 2;
     }

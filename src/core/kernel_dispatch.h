@@ -33,7 +33,7 @@ struct KernelTarget {
                         bool shortcuts);
     void (*phiMultiCell)(SimBlock&, const StepContext&);
     void (*muMultiCell)(SimBlock&, const StepContext&, bool useTz, bool useStag,
-                        bool shortcuts, MuSweepPart part);
+                        bool shortcuts);
 };
 
 // Per-ISA accessors; nullptr when the compiler could not build the target

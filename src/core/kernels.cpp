@@ -31,9 +31,8 @@ void dispatchPhiMultiCell(SimBlock& b, const StepContext& ctx) {
 }
 
 void dispatchMuMultiCell(SimBlock& b, const StepContext& ctx, bool useTz,
-                         bool useStag, bool shortcuts, MuSweepPart part) {
-    multiCellTarget(b.size.x)->muMultiCell(b, ctx, useTz, useStag, shortcuts,
-                                           part);
+                         bool useStag, bool shortcuts) {
+    multiCellTarget(b.size.x)->muMultiCell(b, ctx, useTz, useStag, shortcuts);
 }
 
 } // namespace
@@ -66,31 +65,27 @@ void runPhiKernel(PhiKernelKind k, SimBlock& b, const StepContext& ctx) {
 }
 
 void runMuKernel(MuKernelKind k, SimBlock& b, const StepContext& ctx,
-                 MuSweepPart part) {
+                 MuSweepPart) {
     switch (k) {
-        case MuKernelKind::General:
-            TPF_ASSERT(part == MuSweepPart::Full,
-                       "General mu kernel supports only full sweeps");
-            muSweepGeneral(b, ctx);
-            return;
-        case MuKernelKind::Basic: muSweepBasic(b, ctx, part); return;
+        case MuKernelKind::General: muSweepGeneral(b, ctx); return;
+        case MuKernelKind::Basic: muSweepBasic(b, ctx); return;
         case MuKernelKind::ScalarTzStag:
-            muSweepScalarOpt(b, ctx, /*shortcuts=*/false, part);
+            muSweepScalarOpt(b, ctx, /*shortcuts=*/false);
             return;
         case MuKernelKind::ScalarTzStagCut:
-            muSweepScalarOpt(b, ctx, /*shortcuts=*/true, part);
+            muSweepScalarOpt(b, ctx, /*shortcuts=*/true);
             return;
         case MuKernelKind::Simd:
-            dispatchMuMultiCell(b, ctx, false, false, false, part);
+            dispatchMuMultiCell(b, ctx, false, false, false);
             return;
         case MuKernelKind::SimdTz:
-            dispatchMuMultiCell(b, ctx, true, false, false, part);
+            dispatchMuMultiCell(b, ctx, true, false, false);
             return;
         case MuKernelKind::SimdTzStag:
-            dispatchMuMultiCell(b, ctx, true, true, false, part);
+            dispatchMuMultiCell(b, ctx, true, true, false);
             return;
         case MuKernelKind::SimdTzStagCut:
-            dispatchMuMultiCell(b, ctx, true, true, true, part);
+            dispatchMuMultiCell(b, ctx, true, true, true);
             return;
     }
     TPF_ASSERT(false, "unknown mu kernel kind");

@@ -55,11 +55,10 @@ enum class MuKernelKind {
     SimdTzStagCut,
 };
 
-/// Which part of the mu-sweep to execute — the split that enables phi
-/// communication hiding (Algorithm 2): the "local" part is everything except
-/// the anti-trapping divergence (only cell-local phi_dst dependencies); the
-/// "neighbor" part subtracts div J_at once the phi_dst ghosts arrived.
-enum class MuSweepPart { Full, LocalOnly, NeighborOnly };
+/// Selects nothing: every mu-sweep is a full sweep. Kept only because
+/// prodbench/prodbench.cpp passes MuSweepPart::Full to runMuKernel; delete
+/// it together with that argument.
+enum class MuSweepPart { Full };
 
 /// Per-step, per-block inputs of a kernel invocation.
 struct StepContext {
@@ -96,7 +95,7 @@ struct StepContext {
 
 void runPhiKernel(PhiKernelKind k, SimBlock& b, const StepContext& ctx);
 void runMuKernel(MuKernelKind k, SimBlock& b, const StepContext& ctx,
-                 MuSweepPart part = MuSweepPart::Full);
+                 MuSweepPart = MuSweepPart::Full);
 
 std::string kernelName(PhiKernelKind k);
 std::string kernelName(MuKernelKind k);
@@ -117,8 +116,7 @@ void phiSweepBasic(SimBlock& b, const StepContext& ctx);
 void phiSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts);
 
 void muSweepGeneral(SimBlock& b, const StepContext& ctx);
-void muSweepBasic(SimBlock& b, const StepContext& ctx, MuSweepPart part);
-void muSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts,
-                      MuSweepPart part);
+void muSweepBasic(SimBlock& b, const StepContext& ctx);
+void muSweepScalarOpt(SimBlock& b, const StepContext& ctx, bool shortcuts);
 
 } // namespace tpf::core

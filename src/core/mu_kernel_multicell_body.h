@@ -15,20 +15,11 @@
 /// y-row/z-plane carries at overlapped positions were already overwritten by
 /// the previous group of the same row, so the tail group recomputes its fym /
 /// fzm faces directly (the same expression the carry buffered; same argument
-/// as the slab-bottom re-seed). Cell updates are pure overwrites of muDst
-/// except in NeighborOnly mode, which accumulates onto muDst: there the tail
-/// store blends the previously stored bits back into the overlapped lanes so
-/// no delta is applied twice (and no -0.0 is re-rounded through +0.0).
+/// as the slab-bottom re-seed). Cell updates are pure overwrites of muDst,
+/// so the overlapped lanes are simply stored again with identical bits.
 
 inline void loadPhaseW(const Field<double>& f, int x, int y, int z, V out[N]) {
     for (int a = 0; a < N; ++a) out[a] = V::loadu(f.ptr(x, y, z, a));
-}
-
-/// Mask of lanes [0, n) — used to preserve overlapped lanes in tail stores.
-inline V::Mask lanesBelowW(int n) {
-    double idx[V::width];
-    for (int i = 0; i < V::width; ++i) idx[i] = static_cast<double>(i);
-    return V::loadu(idx) < V::broadcast(static_cast<double>(n));
 }
 
 /// M(phi) grad mu at V::width consecutive faces.
@@ -153,8 +144,7 @@ inline void faceGradsW(const ModelConsts& mc, const Field<double>& P, int axis,
 inline void muFaceW(const ModelConsts& mc, const Field<double>& P,
                     const Field<double>& Pd, const Field<double>& Mu,
                     const SliceThermo& stL, const SliceThermo& stR, int axis,
-                    int x, int y, int z, bool gr, bool at, bool shortcut,
-                    V& Fx, V& Fy) {
+                    int x, int y, int z, bool shortcut, V& Fx, V& Fy) {
     static constexpr int ex[3] = {1, 0, 0};
     static constexpr int ey[3] = {0, 1, 0};
     static constexpr int ez[3] = {0, 0, 1};
@@ -169,11 +159,9 @@ inline void muFaceW(const ModelConsts& mc, const Field<double>& P,
     const V muRx = V::loadu(Mu.ptr(xR, yR, zR, 0));
     const V muRy = V::loadu(Mu.ptr(xR, yR, zR, 1));
 
-    Fx = V::zero();
-    Fy = V::zero();
-    if (gr) gradFluxW(mc, pL, pR, muLx, muLy, muRx, muRy, Fx, Fy);
+    gradFluxW(mc, pL, pR, muLx, muLy, muRx, muRy, Fx, Fy);
 
-    if (at && mc.antitrapping) {
+    if (mc.antitrapping) {
         if (shortcut) {
             // Exact face-level skip when all faces of the group are
             // liquid-free or pure liquid on both sides.
@@ -202,56 +190,48 @@ inline void muFaceW(const ModelConsts& mc, const Field<double>& P,
     }
 }
 
+/// Interpolation weights h_a = phi_a^2 / sum_b phi_b^2 of V::width
+/// consecutive cells starting at (x, y, z).
+inline void moelansWeightsW(const Field<double>& f, int x, int y, int z,
+                            V h[N]) {
+    V p[N];
+    loadPhaseW(f, x, y, z, p);
+    const V s2 = ((p[0] * p[0] + p[1] * p[1]) + (p[2] * p[2] + p[3] * p[3]));
+    const V inv = V::broadcast(1.0) / s2;
+    for (int a = 0; a < N; ++a) h[a] = p[a] * p[a] * inv;
+}
+
 /// Sources, susceptibility solve and update for V::width consecutive cells.
-/// \p keepLanes > 0 marks the first keepLanes lanes as already updated by the
-/// previous (overlapped) group: in NeighborOnly accumulate mode their stored
-/// bits are preserved verbatim.
 inline void cellFinishW(const ModelConsts& mc, const SliceThermo& stC,
                         const Field<double>& P, const Field<double>& Pd,
                         const Field<double>& Mu, Field<double>& Dst, int x,
-                        int y, int z, V divX, V divY, bool applyOnDst,
-                        int keepLanes) {
+                        int y, int z, V divX, V divY) {
     const V one = V::broadcast(1.0);
 
-    V pD[N], hD[N];
-    loadPhaseW(Pd, x, y, z, pD);
-    {
-        const V s2 =
-            ((pD[0] * pD[0] + pD[1] * pD[1]) + (pD[2] * pD[2] + pD[3] * pD[3]));
-        const V inv = one / s2;
-        for (int a = 0; a < N; ++a) hD[a] = pD[a] * pD[a] * inv;
-    }
+    V hD[N], hS[N];
+    moelansWeightsW(Pd, x, y, z, hD);
+    moelansWeightsW(P, x, y, z, hS);
 
-    V rhsX = divX, rhsY = divY;
-    if (!applyOnDst) {
-        V pS[N], hS[N];
-        loadPhaseW(P, x, y, z, pS);
-        const V s2 =
-            ((pS[0] * pS[0] + pS[1] * pS[1]) + (pS[2] * pS[2] + pS[3] * pS[3]));
-        const V inv = one / s2;
-        for (int a = 0; a < N; ++a) hS[a] = pS[a] * pS[a] * inv;
-
-        const V mux = V::loadu(Mu.ptr(x, y, z, 0));
-        const V muy = V::loadu(Mu.ptr(x, y, z, 1));
-        const V invDt = V::broadcast(mc.invDt);
-        V src1X = V::zero(), src1Y = V::zero(), src2X = V::zero(),
-          src2Y = V::zero();
-        for (int a = 0; a < N; ++a) {
-            const V cax = V::broadcast(stC.xix[a]) +
-                          V::broadcast(mc.kinvA[a]) * mux +
-                          V::broadcast(mc.kinvB[a]) * muy;
-            const V cay = V::broadcast(stC.xiy[a]) +
-                          V::broadcast(mc.kinvB[a]) * mux +
-                          V::broadcast(mc.kinvD[a]) * muy;
-            const V dh = (hD[a] - hS[a]) * invDt;
-            src1X -= cax * dh;
-            src1Y -= cay * dh;
-            src2X -= hD[a] * V::broadcast(mc.dxidTx[a]) * V::broadcast(mc.dTdt);
-            src2Y -= hD[a] * V::broadcast(mc.dxidTy[a]) * V::broadcast(mc.dTdt);
-        }
-        rhsX += src1X + src2X;
-        rhsY += src1Y + src2Y;
+    const V mux = V::loadu(Mu.ptr(x, y, z, 0));
+    const V muy = V::loadu(Mu.ptr(x, y, z, 1));
+    const V invDt = V::broadcast(mc.invDt);
+    V src1X = V::zero(), src1Y = V::zero(), src2X = V::zero(),
+      src2Y = V::zero();
+    for (int a = 0; a < N; ++a) {
+        const V cax = V::broadcast(stC.xix[a]) +
+                      V::broadcast(mc.kinvA[a]) * mux +
+                      V::broadcast(mc.kinvB[a]) * muy;
+        const V cay = V::broadcast(stC.xiy[a]) +
+                      V::broadcast(mc.kinvB[a]) * mux +
+                      V::broadcast(mc.kinvD[a]) * muy;
+        const V dh = (hD[a] - hS[a]) * invDt;
+        src1X -= cax * dh;
+        src1Y -= cay * dh;
+        src2X -= hD[a] * V::broadcast(mc.dxidTx[a]) * V::broadcast(mc.dTdt);
+        src2Y -= hD[a] * V::broadcast(mc.dxidTy[a]) * V::broadcast(mc.dTdt);
     }
+    const V rhsX = divX + (src1X + src2X);
+    const V rhsY = divY + (src1Y + src2Y);
 
     V chiA = V::zero(), chiB = V::zero(), chiD = V::zero();
     for (int a = 0; a < N; ++a) {
@@ -264,30 +244,14 @@ inline void cellFinishW(const ModelConsts& mc, const SliceThermo& stC,
     const V dmuy = (chiA * rhsY - chiB * rhsX) * invDet;
 
     const V dt = V::broadcast(mc.dt);
-    if (!applyOnDst) {
-        const V outX = V::loadu(Mu.ptr(x, y, z, 0)) + dt * dmux;
-        const V outY = V::loadu(Mu.ptr(x, y, z, 1)) + dt * dmuy;
-        outX.storeu(Dst.ptr(x, y, z, 0));
-        outY.storeu(Dst.ptr(x, y, z, 1));
-    } else {
-        const V oldX = V::loadu(Dst.ptr(x, y, z, 0));
-        const V oldY = V::loadu(Dst.ptr(x, y, z, 1));
-        V outX = oldX + (V::zero() + dt * dmux);
-        V outY = oldY + (V::zero() + dt * dmuy);
-        if (keepLanes > 0) {
-            // Overlapped tail lanes already carry this delta — keep their
-            // stored bits untouched.
-            const auto keep = lanesBelowW(keepLanes);
-            outX = V::blend(keep, oldX, outX);
-            outY = V::blend(keep, oldY, outY);
-        }
-        outX.storeu(Dst.ptr(x, y, z, 0));
-        outY.storeu(Dst.ptr(x, y, z, 1));
-    }
+    const V outX = mux + dt * dmux;
+    const V outY = muy + dt * dmuy;
+    outX.storeu(Dst.ptr(x, y, z, 0));
+    outY.storeu(Dst.ptr(x, y, z, 1));
 }
 
 void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
-                          bool useStag, bool shortcuts, MuSweepPart part) {
+                          bool useStag, bool shortcuts) {
     constexpr int W = V::width;
     const ModelConsts& mc = ctx.mc;
     TPF_ASSERT(blk.phiSrc.layout() == Layout::fzyx &&
@@ -303,10 +267,6 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
     Field<double>& Dst = blk.muDst;
     const int nx = blk.size.x, ny = blk.size.y, nz = blk.size.z;
     const int z0 = ctx.zLo(), z1 = ctx.zHi(nz);
-
-    const bool applyOnDst = part == MuSweepPart::NeighborOnly;
-    const bool gr = part != MuSweepPart::NeighborOnly;
-    const bool at = part != MuSweepPart::LocalOnly;
 
     // Staggered buffers. x-faces live in a per-row buffer of nx+1 face values
     // (computed in a vectorized pre-pass); y-faces in a row buffer, z-faces
@@ -351,7 +311,7 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
                 for (int i = -1; i < nx; i += W) {
                     const int ii = std::min(i, nx - W);
                     V Fx, Fy;
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 0, ii, y, z, gr, at,
+                    muFaceW(mc, P, Pd, Mu, stC, stC, 0, ii, y, z,
                             shortcuts, Fx, Fy);
                     Fx.storeu(fxRowX.data() + (ii + 1));
                     Fy.storeu(fxRowY.data() + (ii + 1));
@@ -375,13 +335,13 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
                     fxpY = V::loadu(fxRowY.data() + xx + 1);
 
                     if (y == 0 || tail) {
-                        muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y - 1, z, gr,
-                                at, shortcuts, fymX, fymY);
+                        muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y - 1, z,
+                                shortcuts, fymX, fymY);
                     } else {
                         fymX = V::loadu(rowYX.data() + xx);
                         fymY = V::loadu(rowYY.data() + xx);
                     }
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y, z, gr, at,
+                    muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y, z,
                             shortcuts, fypX, fypY);
                     fypX.storeu(rowYX.data() + xx);
                     fypY.storeu(rowYY.data() + xx);
@@ -394,28 +354,28 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
                         // Slab bottom (or overlapped tail): seed the z-carry
                         // with the identical muFaceW call the full sweep
                         // buffered at z - 1.
-                        muFaceW(mc, P, Pd, Mu, stM, stC, 2, xx, y, z - 1, gr,
-                                at, shortcuts, fzmX, fzmY);
+                        muFaceW(mc, P, Pd, Mu, stM, stC, 2, xx, y, z - 1,
+                                shortcuts, fzmX, fzmY);
                     } else {
                         fzmX = V::loadu(pzx);
                         fzmY = V::loadu(pzy);
                     }
-                    muFaceW(mc, P, Pd, Mu, stC, stP, 2, xx, y, z, gr, at,
+                    muFaceW(mc, P, Pd, Mu, stC, stP, 2, xx, y, z,
                             shortcuts, fzpX, fzpY);
                     fzpX.storeu(pzx);
                     fzpY.storeu(pzy);
                 } else {
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 0, xx - 1, y, z, gr, at,
+                    muFaceW(mc, P, Pd, Mu, stC, stC, 0, xx - 1, y, z,
                             shortcuts, fxmX, fxmY);
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 0, xx, y, z, gr, at,
+                    muFaceW(mc, P, Pd, Mu, stC, stC, 0, xx, y, z,
                             shortcuts, fxpX, fxpY);
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y - 1, z, gr, at,
+                    muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y - 1, z,
                             shortcuts, fymX, fymY);
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y, z, gr, at,
+                    muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y, z,
                             shortcuts, fypX, fypY);
-                    muFaceW(mc, P, Pd, Mu, stM, stC, 2, xx, y, z - 1, gr, at,
+                    muFaceW(mc, P, Pd, Mu, stM, stC, 2, xx, y, z - 1,
                             shortcuts, fzmX, fzmY);
-                    muFaceW(mc, P, Pd, Mu, stC, stP, 2, xx, y, z, gr, at,
+                    muFaceW(mc, P, Pd, Mu, stC, stP, 2, xx, y, z,
                             shortcuts, fzpX, fzpY);
                 }
 
@@ -425,8 +385,7 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
                 const V divY =
                     (((fxpY - fxmY) + (fypY - fymY)) + (fzpY - fzmY)) * invDx;
 
-                cellFinishW(mc, stC, P, Pd, Mu, Dst, xx, y, z, divX, divY,
-                            applyOnDst, tail ? x - xx : 0);
+                cellFinishW(mc, stC, P, Pd, Mu, Dst, xx, y, z, divX, divY);
             }
         }
     }

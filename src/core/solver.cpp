@@ -82,12 +82,12 @@ void Solver::sweepPhi(std::size_t blockSlot, SimBlock& b) {
     });
 }
 
-void Solver::sweepMu(std::size_t blockSlot, SimBlock& b, MuSweepPart part) {
+void Solver::sweepMu(std::size_t blockSlot, SimBlock& b) {
     const StepContext base = makeContext(blockSlot);
     const CellInterval whole{0, 0, 0, b.size.x - 1, b.size.y - 1,
                              b.size.z - 1};
     parallelForSlabs(pool_.get(), whole, [&](const CellInterval& slab) {
-        runMuKernel(cfg_.muKernel, b, base.forSlab(slab), part);
+        runMuKernel(cfg_.muKernel, b, base.forSlab(slab));
     });
 }
 
@@ -125,37 +125,16 @@ void Solver::buildTimeloop() {
         });
     }
 
-    if (cfg_.overlapPhi) {
-        loop_.add("phi-comm-start", [this] { phiEx_->start(); });
-        loop_.add("mu-sweep-local", [this, forAllBlocks] {
-            forAllBlocks([&](std::size_t i, SimBlock& b) {
-                sweepMu(i, b, MuSweepPart::LocalOnly);
-            });
+    loop_.add("phi-comm", [this, forAllBlocks] {
+        phiEx_->communicate();
+        forAllBlocks([&](std::size_t, SimBlock& b) {
+            applyBoundaries(b.phiDst, bf_, b.blockIdx, phiBC_, pool_.get());
         });
-        loop_.add("phi-comm-wait", [this, forAllBlocks] {
-            phiEx_->wait();
-            forAllBlocks([&](std::size_t, SimBlock& b) {
-                applyBoundaries(b.phiDst, bf_, b.blockIdx, phiBC_, pool_.get());
-            });
-        });
-        loop_.add("mu-sweep-neighbor", [this, forAllBlocks] {
-            forAllBlocks([&](std::size_t i, SimBlock& b) {
-                sweepMu(i, b, MuSweepPart::NeighborOnly);
-            });
-        });
-    } else {
-        loop_.add("phi-comm", [this, forAllBlocks] {
-            phiEx_->communicate();
-            forAllBlocks([&](std::size_t, SimBlock& b) {
-                applyBoundaries(b.phiDst, bf_, b.blockIdx, phiBC_, pool_.get());
-            });
-        });
-        loop_.add("mu-sweep", [this, forAllBlocks] {
-            forAllBlocks([&](std::size_t i, SimBlock& b) {
-                sweepMu(i, b, MuSweepPart::Full);
-            });
-        });
-    }
+    });
+
+    loop_.add("mu-sweep", [this, forAllBlocks] {
+        forAllBlocks([&](std::size_t i, SimBlock& b) { sweepMu(i, b); });
+    });
 
     if (!cfg_.overlapMu) {
         loop_.add("mu-comm", [this, forAllBlocks] {

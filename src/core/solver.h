@@ -42,10 +42,15 @@ struct SolverConfig {
     PhiKernelKind phiKernel = PhiKernelKind::SimdTzStagCut;
     MuKernelKind muKernel = MuKernelKind::SimdTzStagCut;
 
-    /// Communication hiding (Algorithm 2). The paper's best configuration is
-    /// mu-overlap only: hiding the phi communication requires the split
-    /// mu-sweep whose overhead exceeds the gain.
-    bool overlapPhi = false;
+    /// Hide the mu ghost exchange behind the phi-sweep (Algorithm 2); false
+    /// runs Algorithm 1. Both schedules are bitwise identical. The phi
+    /// exchange is never hidden: the mu-sweep reads phi_dst ghosts, so hiding
+    /// it needs a split mu-sweep whose second pass costs more than the
+    /// communication it hides. The paper concludes so (Fig. 8: mu-only hiding
+    /// is the fastest), and so did bench_fig8_comm_overlap on a 4-core Xeon
+    /// (40^3 blocks, 2 and 4 ranks, thread and shm transports, 5 runs each):
+    /// phi+mu hiding was slower per step than mu-only hiding in 17 of 20
+    /// runs, by 6-23% in the median.
     bool overlapMu = false;
 
     /// Intra-rank threads for the kernel/boundary/window sweeps (hybrid
@@ -65,7 +70,7 @@ public:
     /// Voronoi fill, initial communication and boundary handling.
     void initialize();
 
-    /// One time step (Algorithm 1 or 2 depending on the overlap flags).
+    /// One time step (Algorithm 1, or Algorithm 2 with cfg.overlapMu).
     void step();
     void run(int steps);
 
@@ -130,7 +135,7 @@ private:
     StepContext makeContext(std::size_t blockSlot) const;
     /// Slab-parallel phi/mu sweep of one block (serial when pool_ is null).
     void sweepPhi(std::size_t blockSlot, SimBlock& b);
-    void sweepMu(std::size_t blockSlot, SimBlock& b, MuSweepPart part);
+    void sweepMu(std::size_t blockSlot, SimBlock& b);
 
     SolverConfig cfg_;
     vmpi::Comm* comm_;

@@ -98,33 +98,6 @@ INSTANTIATE_TEST_SUITE_P(
                scenarioName(std::get<1>(pinfo.param));
     });
 
-class MuSplitTest : public ::testing::TestWithParam<MuKernelKind> {};
-
-TEST_P(MuSplitTest, LocalPlusNeighborMatchesFullSweep) {
-    // The Algorithm-2 split (local part, then -div J_at) must match the fused
-    // sweep to rounding accuracy (the paper interleaves them with
-    // communication; the physics is identical).
-    MuFixture fx;
-    auto full = fx.makeBlock(Scenario::Interface);
-    auto split = fx.makeBlock(Scenario::Interface);
-
-    auto cf = fx.ctx(*full);
-    runMuKernel(GetParam(), *full, cf, MuSweepPart::Full);
-    auto cs = fx.ctx(*split);
-    runMuKernel(GetParam(), *split, cs, MuSweepPart::LocalOnly);
-    runMuKernel(GetParam(), *split, cs, MuSweepPart::NeighborOnly);
-
-    EXPECT_LT(full->muDst.maxAbsDiff(split->muDst), 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(SplittableKernels, MuSplitTest,
-                         ::testing::Values(MuKernelKind::Basic,
-                                           MuKernelKind::ScalarTzStag,
-                                           MuKernelKind::ScalarTzStagCut,
-                                           MuKernelKind::SimdTzStag,
-                                           MuKernelKind::SimdTzStagCut),
-                         [](const auto& pinfo) { return testSafe(kernelName(pinfo.param)); });
-
 TEST(MuKernel, AntiTrappingChangesInterfaceResult) {
     // Sanity: J_at must actually contribute at a moving front.
     MuFixture fx;

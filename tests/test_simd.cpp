@@ -316,9 +316,8 @@ TYPED_TEST(SimdWidthTest, LoadStoreAlignment) {
 
 TYPED_TEST(SimdWidthTest, RemainderGuard) {
     constexpr int W = TypeParam::width;
-    // The kernels' nx % width pattern: full vectors plus a masked tail whose
-    // inactive lanes must never reach memory. blend against the old contents
-    // models the keepLanes tail used by the width-8 mu sweep.
+    // The nx % width pattern: full vectors plus a masked tail whose inactive
+    // lanes must never reach memory (blend against the old contents).
     constexpr int n = 3 * W - W / 2 - 1; // deliberately not a multiple of W
     double in[n], want[n];
     Random rng(31);

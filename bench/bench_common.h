@@ -10,6 +10,7 @@
 
 #include "core/kernels.h"
 #include "core/regions.h"
+#include "core/solver.h"
 #include "perf/perf.h"
 #include "thermo/agalcu.h"
 #include "util/table.h"
@@ -46,11 +47,12 @@ struct KernelBench {
         return static_cast<double>(blk->numCells()) / sec / 1e6;
     }
 
-    /// MLUP/s of one mu kernel variant (phiDst prepared by one Basic sweep so
-    /// the anti-trapping terms are exercised like in production).
+    /// MLUP/s of one mu kernel variant (phiDst prepared by one production
+    /// phi sweep so the anti-trapping terms are exercised like in
+    /// production).
     double muMlups(core::MuKernelKind k, double minSeconds = 0.4) {
         auto c = ctx();
-        core::runPhiKernel(core::PhiKernelKind::SimdTzStagCut, *blk, c);
+        core::runPhiKernel(core::SolverConfig{}.phiKernel, *blk, c);
         const double sec =
             perf::timeIt([&] { core::runMuKernel(k, *blk, c); }, minSeconds);
         return static_cast<double>(blk->numCells()) / sec / 1e6;

@@ -18,6 +18,7 @@
 
 #include "bench_common.h"
 #include "core/slab_sweep.h"
+#include "core/solver.h"
 #include "util/thread_pool.h"
 #include "vmpi/comm.h"
 
@@ -36,7 +37,7 @@ double intranodeMlups(int threads, Int3 blockSize, int iterations) {
             std::make_unique<KernelBench>(Scenario::Interface, blockSize));
         // Prepare phiDst once so the anti-trapping path is active.
         auto c = benches.back()->ctx();
-        core::runPhiKernel(core::PhiKernelKind::SimdTzStagCut,
+        core::runPhiKernel(core::SolverConfig{}.phiKernel,
                            *benches.back()->blk, c);
     }
 
@@ -73,7 +74,7 @@ double hybridMlups(int ranks, int threads, Int3 blockSize, int iterations) {
     vmpi::runParallel(ranks, [&](vmpi::Comm& comm) {
         KernelBench kb(Scenario::Interface, blockSize);
         auto ctx = kb.ctx();
-        core::runPhiKernel(core::PhiKernelKind::SimdTzStagCut, *kb.blk, ctx);
+        core::runPhiKernel(core::SolverConfig{}.phiKernel, *kb.blk, ctx);
         util::ThreadPool pool(threads);
         const CellInterval whole{0,
                                  0,

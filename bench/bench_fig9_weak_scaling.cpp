@@ -26,6 +26,7 @@
 #include "comm/exchange.h"
 #include "core/kernels.h"
 #include "core/regions.h"
+#include "core/solver.h"
 #include "perf/perf.h"
 #include "thermo/agalcu.h"
 #include "util/table.h"
@@ -72,13 +73,14 @@ double weakScaling(vmpi::TransportKind kind, int ranks, Scenario sc, int bs,
         ctx.mc = core::ModelConsts::build(prm, sys);
         core::TzCache tz;
         ctx.temp = &temp;
+        const core::SolverConfig production; // the solver's kernel choice
 
         auto step = [&] {
             tz.build(ctx.mc, temp, blk.origin.z, blk.size.z, 0.0, 0.0);
             ctx.tz = &tz;
-            core::runPhiKernel(core::PhiKernelKind::SimdTzStagCut, blk, ctx);
+            core::runPhiKernel(production.phiKernel, blk, ctx);
             phiEx.communicate();
-            core::runMuKernel(core::MuKernelKind::SimdTzStagCut, blk, ctx);
+            core::runMuKernel(production.muKernel, blk, ctx);
             muEx.communicate();
             blk.swapSrcDst();
         };

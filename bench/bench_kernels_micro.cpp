@@ -11,6 +11,7 @@
 #include "core/kernels.h"
 #include "core/model_common.h"
 #include "core/regions.h"
+#include "core/solver.h"
 #include "simd/simd.h"
 #include "simd/simplex4.h"
 #include "thermo/agalcu.h"
@@ -98,7 +99,7 @@ void BM_PhiSweepPerCell(benchmark::State& state) {
 BENCHMARK(BM_PhiSweepPerCell)
     ->Arg(static_cast<int>(core::PhiKernelKind::Basic))
     ->Arg(static_cast<int>(core::PhiKernelKind::SimdTzStagCut))
-    ->Arg(static_cast<int>(core::PhiKernelKind::SimdFourCell));
+    ->Arg(static_cast<int>(core::SolverConfig{}.phiKernel)); // production
 
 void BM_MuSweepPerCell(benchmark::State& state) {
     const auto kind = static_cast<core::MuKernelKind>(state.range(0));
@@ -113,7 +114,7 @@ void BM_MuSweepPerCell(benchmark::State& state) {
     tz.build(ctx.mc, temp, 0, 40, 0.0, 0.0);
     ctx.tz = &tz;
     ctx.temp = &temp;
-    core::runPhiKernel(core::PhiKernelKind::SimdTzStagCut, blk, ctx);
+    core::runPhiKernel(core::SolverConfig{}.phiKernel, blk, ctx);
     for (auto _ : state) {
         core::runMuKernel(kind, blk, ctx);
     }

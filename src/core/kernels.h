@@ -12,13 +12,16 @@
 ///  Simd        (cellwise, no caches)    | "with SIMD intrinsics, single cell"
 ///  SimdTz      (+ z-slice cache)        | "with T(z) optimization"
 ///  SimdTzStag  (+ staggered buffers)    | "with staggered buffer"
-///  SimdTzStagCut (+ bulk shortcuts)     | "with shortcuts"  [production]
-///  SimdFourCell (four cells at once)    | Figure 5 "four cells"
+///  SimdTzStagCut (+ bulk shortcuts)     | "with shortcuts"
+///  SimdFourCell (width-many cells at    | Figure 5 "four cells"  [production]
+///    once; Tz + stag + per-lane cuts,   |
+///    bitwise equal to SimdTzStagCut)    |
 ///  ScalarTzStag / ScalarTzStagCut       | ablation: all algorithmic
 ///                                       | optimizations without SIMD
 ///
 ///  mu kernels mirror the same stages with four-cell vectorization (the only
-///  viable strategy for the mu-sweep, as in the paper).
+///  viable strategy for the mu-sweep, as in the paper); SimdTzStagCut is the
+///  production mu-sweep.
 ///
 /// All variants are checked for equivalence by tests/test_phi_kernels.cpp and
 /// tests/test_mu_kernels.cpp.

@@ -12,10 +12,12 @@
 ///   core/kernels.h, core/model_common.h, util/alignment.h, <vector>,
 ///   and the vector-type header selected for V.
 ///
-/// Cellwise strategy (the paper's fastest choice, Figure 5): pairwise phase
-/// terms use lane rotations; branching stays possible per cell, which is what
-/// makes the bulk shortcut effective. Variant flags (Figure 6 progression):
-/// +T(z) slice cache, +staggered face-flux buffers, +shortcuts.
+/// Cellwise strategy (the paper's fastest choice on 4-wide AVX, Figure 5):
+/// pairwise phase terms use lane rotations; branching stays possible per
+/// cell, which is what makes the bulk shortcut effective. Variant flags
+/// (Figure 6 progression): +T(z) slice cache, +staggered face-flux buffers,
+/// +shortcuts. With all three it is the bitwise reference of the production
+/// multi-cell body (phi_kernel_multicell_body.h).
 
 static_assert(V::width == 4, "cellwise body packs the 4 phases of one cell");
 

@@ -39,7 +39,7 @@ struct SolverConfig {
 
     ModelParams model = ModelParams::defaults();
 
-    PhiKernelKind phiKernel = PhiKernelKind::SimdTzStagCut;
+    PhiKernelKind phiKernel = PhiKernelKind::SimdFourCell;
     MuKernelKind muKernel = MuKernelKind::SimdTzStagCut;
 
     /// Hide the mu ghost exchange behind the phi-sweep (Algorithm 2); false

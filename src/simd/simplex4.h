@@ -3,7 +3,10 @@
 /// Vectorized Gibbs-simplex projection for the four-cell kernels: four phase
 /// values held in four registers (one lane per cell). The vertical sorting
 /// network and the threshold selection mirror tpf::projectToSimplex4
-/// operation-for-operation, so the result is bitwise identical per cell.
+/// operation-for-operation, so the result is bitwise identical per cell —
+/// zero signs and NaNs included: the operand order of min/max reproduces
+/// the scalar ternaries and std::max (the backends' min/max follow the x86
+/// rule `a < b ? a : b` / `a > b ? a : b`).
 
 #include "simd/simd.h"
 
@@ -13,7 +16,7 @@ namespace detail {
 template <typename V>
 inline void cmpExchDesc(V& hi, V& lo) {
     const V mx = V::max(hi, lo);
-    const V mn = V::min(hi, lo);
+    const V mn = V::min(lo, hi);
     hi = mx;
     lo = mn;
 }
@@ -47,10 +50,10 @@ inline void projectToSimplex4Lanes(V& x0, V& x1, V& x2, V& x3) {
     tau = V::blend(u2 - t2 > zero, t2, tau);
     tau = V::blend(u3 - t3 > zero, t3, tau);
 
-    x0 = V::max(x0 - tau, zero);
-    x1 = V::max(x1 - tau, zero);
-    x2 = V::max(x2 - tau, zero);
-    x3 = V::max(x3 - tau, zero);
+    x0 = V::max(zero, x0 - tau);
+    x1 = V::max(zero, x1 - tau);
+    x2 = V::max(zero, x2 - tau);
+    x3 = V::max(zero, x3 - tau);
 }
 
 } // namespace tpf::simd

@@ -131,6 +131,15 @@ struct Vec4dAvx2 {
     Vec4dAvx2 rotateLeft3() const {
         return {_mm256_permute4x64_pd(v, _MM_SHUFFLE(2, 1, 0, 3))};
     }
+
+    /// Lanes slide up by one and the top lane of \p carry enters lane 0:
+    /// (carry[W-1], cur[0], ..., cur[W-2]).
+    static Vec4dAvx2 slideUp(Vec4dAvx2 cur, Vec4dAvx2 carry) {
+        // (carry2, carry3, cur0, cur1), then pick (carry3, cur0, cur1, cur2).
+        const __m256d mid = _mm256_permute2f128_pd(carry.v, cur.v, 0x21);
+        return {_mm256_shuffle_pd(mid, cur.v, 0b0101)};
+    }
+
     Vec4dAvx2 reverse() const {
         return {_mm256_permute4x64_pd(v, _MM_SHUFFLE(0, 1, 2, 3))};
     }

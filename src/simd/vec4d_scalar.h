@@ -146,6 +146,12 @@ struct Vec4dScalar {
     Vec4dScalar rotateLeft2() const { return {{v[2], v[3], v[0], v[1]}}; }
     Vec4dScalar rotateLeft3() const { return {{v[3], v[0], v[1], v[2]}}; }
 
+    /// Lanes slide up by one and the top lane of \p carry enters lane 0:
+    /// (carry[W-1], cur[0], ..., cur[W-2]).
+    static Vec4dScalar slideUp(Vec4dScalar cur, Vec4dScalar carry) {
+        return {{carry.v[3], cur.v[0], cur.v[1], cur.v[2]}};
+    }
+
     /// Reverse lanes: (a,b,c,d) -> (d,c,b,a).
     Vec4dScalar reverse() const { return {{v[3], v[2], v[1], v[0]}}; }
 

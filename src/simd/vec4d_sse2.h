@@ -187,6 +187,14 @@ struct Vec4dSse2 {
         return {_mm_shuffle_pd(hi, lo, 0b01),  // (d, a)
                 _mm_shuffle_pd(lo, hi, 0b01)}; // (b, c)
     }
+
+    /// Lanes slide up by one and the top lane of \p carry enters lane 0:
+    /// (carry[W-1], cur[0], ..., cur[W-2]).
+    static Vec4dSse2 slideUp(Vec4dSse2 cur, Vec4dSse2 carry) {
+        return {_mm_shuffle_pd(carry.hi, cur.lo, 0b01),  // (carry3, cur0)
+                _mm_shuffle_pd(cur.lo, cur.hi, 0b01)};   // (cur1, cur2)
+    }
+
     Vec4dSse2 reverse() const {
         return {_mm_shuffle_pd(hi, hi, 0b01), _mm_shuffle_pd(lo, lo, 0b01)};
     }

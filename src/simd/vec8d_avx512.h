@@ -13,6 +13,7 @@ namespace tpf::simd {
 
 struct Vec8dAvx512 {
     static constexpr int width = 8;
+    static constexpr __mmask8 kAll = 0xFF;
 
     __m512d v;
 
@@ -97,11 +98,15 @@ struct Vec8dAvx512 {
         return {_mm512_fmsub_pd(a.v, b.v, c.v)};
     }
 
+    // min/max/alignr use the all-lanes maskz forms: GCC builds the plain
+    // intrinsics on _mm512_undefined_* and, once inlined, can trip
+    // -Wuninitialized (GCC PR105593, as in rsqrtFast below); the results are
+    // identical.
     static Vec8dAvx512 min(Vec8dAvx512 a, Vec8dAvx512 b) {
-        return {_mm512_min_pd(a.v, b.v)};
+        return {_mm512_maskz_min_pd(kAll, a.v, b.v)};
     }
     static Vec8dAvx512 max(Vec8dAvx512 a, Vec8dAvx512 b) {
-        return {_mm512_max_pd(a.v, b.v)};
+        return {_mm512_maskz_max_pd(kAll, a.v, b.v)};
     }
     static Vec8dAvx512 abs(Vec8dAvx512 a) { return {_mm512_abs_pd(a.v)}; }
     static Vec8dAvx512 sqrt(Vec8dAvx512 a) { return {_mm512_sqrt_pd(a.v)}; }
@@ -115,7 +120,7 @@ struct Vec8dAvx512 {
         // built on _mm512_undefined_epi32 and trips -Wmaybe-uninitialized
         // when inlined (GCC PR105593); the all-ones mask makes them equal.
         bits = _mm512_sub_epi64(
-            magic, _mm512_maskz_srli_epi64(static_cast<__mmask8>(0xff), bits, 1));
+            magic, _mm512_maskz_srli_epi64(kAll, bits, 1));
         __m512d y = _mm512_castsi512_pd(bits);
         const __m512d xh = _mm512_mul_pd(_mm512_set1_pd(0.5), a.v);
         const __m512d c15 = _mm512_set1_pd(1.5);
@@ -127,6 +132,13 @@ struct Vec8dAvx512 {
             y = _mm512_mul_pd(y, t);
         }
         return {y};
+    }
+
+    /// Lanes slide up by one and the top lane of \p carry enters lane 0:
+    /// (carry[W-1], cur[0], ..., cur[W-2]).
+    static Vec8dAvx512 slideUp(Vec8dAvx512 cur, Vec8dAvx512 carry) {
+        return {_mm512_castsi512_pd(_mm512_maskz_alignr_epi64(
+            kAll, _mm512_castpd_si512(cur.v), _mm512_castpd_si512(carry.v), 7))};
     }
 
     static Vec8dAvx512 blend(Mask m, Vec8dAvx512 a, Vec8dAvx512 b) {

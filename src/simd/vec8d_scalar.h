@@ -183,6 +183,15 @@ struct Vec8dScalar {
         return r;
     }
 
+    /// Lanes slide up by one and the top lane of \p carry enters lane 0:
+    /// (carry[W-1], cur[0], ..., cur[W-2]).
+    static Vec8dScalar slideUp(Vec8dScalar cur, Vec8dScalar carry) {
+        Vec8dScalar r;
+        r.v[0] = carry.v[7];
+        for (int i = 1; i < 8; ++i) r.v[i] = cur.v[i - 1];
+        return r;
+    }
+
     /// blend: lane-wise mask ? a : b.
     static Vec8dScalar blend(Mask m, Vec8dScalar a, Vec8dScalar b) {
         Vec8dScalar r;

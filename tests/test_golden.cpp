@@ -7,10 +7,12 @@
 ///
 /// The references are bitwise-reproducible across machines and build types
 /// because every operation on the trajectory path is pure IEEE-754
-/// arithmetic: the SIMD backends use single-rounding fmadd everywhere
-/// (docs/KERNELS.md), -ffp-contract=off pins the scalar code, and the
-/// initialization profiles use the polynomial tpf::sinpiCompact instead of
-/// libm's sin (whose rounding differs between libm versions).
+/// arithmetic: the kernels use separate multiplies and adds (the only fused
+/// operation is the std::fma Newton step of fastInvSqrt, mirrored by every
+/// SIMD backend; docs/KERNELS.md), -ffp-contract=off keeps the compiler from
+/// contracting the rest, and the initialization profiles use the polynomial
+/// tpf::sinpiCompact instead of libm's sin (whose rounding differs between
+/// libm versions).
 ///
 /// To regenerate after an *intentional* numerics change:
 ///

@@ -8,12 +8,18 @@
 ///    per-cell arithmetic exactly, and the bulk shortcut is exact because
 ///    projection pins bulk cells at simplex vertices).
 ///  - SIMD variants: equal to the scalar reference within a tight tolerance
-///    (different association of phase sums / fma contraction).
+///    (different association of the phase sums).
+///  - SimdFourCell (the production phi-sweep): bitwise equal to the cellwise
+///    SimdTzStagCut on every dispatch target, zero signs included
+///    (PhiMultiCellLockdown below).
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/kernel_dispatch.h"
 #include "core/kernels.h"
@@ -303,6 +309,110 @@ TEST(PhiKernelSimdGuardsDeathTest, RejectsNxNotDivisibleByFour) {
         EXPECT_DEATH(runPhiKernel(PhiKernelKind::SimdFourCell, *b, ctx),
                      "divisible by 4");
     }
+}
+
+// --- production multi-cell phi == cellwise SimdTzStagCut, bitwise ----------
+// memcmp, not ==, so a -0.0 where the cellwise kernel stores +0.0 fails.
+// nx = 12 and 20 leave a width-8 tail group that overlaps its neighbor;
+// nx = 4 runs on the widest target that fits. The slabbed sweeps restart the
+// staggered z-buffers at zBegin > 0, as the threaded solver does.
+
+bool sameBytes(const Field<double>& a, const Field<double>& b) {
+    return a.allocSize() == b.allocSize() &&
+           std::memcmp(a.data(), b.data(), a.allocSize() * sizeof(double)) == 0;
+}
+
+/// Turns isolated interior cells of a liquid block into a liquid/solid mix,
+/// so x-groups hold both bulk and non-bulk lanes, and non-bulk lanes read
+/// the +0.0 faces their bulk neighbors buffered.
+void speckle(SimBlock& b) {
+    forEachCell(b.phiSrc.interior(), [&](int x, int y, int z) {
+        if ((7 * x + 3 * y + 5 * z) % 11 != 0) return;
+        for (int a = 0; a < N; ++a) b.phiSrc(x, y, z, a) = 0.0;
+        b.phiSrc(x, y, z, LIQ) = 0.75;
+        b.phiSrc(x, y, z, (LIQ + 1) % N) = 0.25;
+    });
+}
+
+/// Groups of \p w consecutive x-cells (aligned at 0) that mix bulk and
+/// non-bulk cells.
+int mixedGroups(const Field<double>& phi, int w) {
+    const CellInterval in = phi.interior();
+    int mixed = 0;
+    for (int z = in.zMin; z <= in.zMax; ++z)
+        for (int y = in.yMin; y <= in.yMax; ++y)
+            for (int x0 = 0; x0 + w <= in.xMax + 1; x0 += w) {
+                int bulk = 0;
+                for (int x = x0; x < x0 + w; ++x) {
+                    bool cellBulk = false;
+                    for (int a = 0; a < N; ++a)
+                        cellBulk = cellBulk || (phi(x, y, z, a) == 1.0 &&
+                                                phi(x - 1, y, z, a) == 1.0 &&
+                                                phi(x + 1, y, z, a) == 1.0 &&
+                                                phi(x, y - 1, z, a) == 1.0 &&
+                                                phi(x, y + 1, z, a) == 1.0 &&
+                                                phi(x, y, z - 1, a) == 1.0 &&
+                                                phi(x, y, z + 1, a) == 1.0);
+                    bulk += cellBulk ? 1 : 0;
+                }
+                if (bulk > 0 && bulk < w) ++mixed;
+            }
+    return mixed;
+}
+
+TEST(PhiMultiCellLockdown, BitwiseEqualToCellwiseOnEveryTarget) {
+    TargetGuard guard;
+    KernelFixture fx;
+    struct Case {
+        const char* name;
+        Scenario scenario;
+        bool speckled;
+    };
+    const Case cases[] = {{"interface", Scenario::Interface, false},
+                          {"liquid", Scenario::Liquid, false},
+                          {"solid", Scenario::Solid, false},
+                          {"speckled-liquid", Scenario::Liquid, true}};
+    // Slab partitions of nz = 16: the full sweep and three restarts.
+    const std::vector<std::vector<int>> partitions = {{0, 16},
+                                                      {0, 5, 11, 16}};
+
+    auto sweep = [&](PhiKernelKind kind, const Case& c, Int3 size,
+                     const std::vector<int>& cuts) {
+        auto b = fx.makeBlock(c.scenario, size, 77);
+        if (c.speckled) speckle(*b);
+        const StepContext ctx = fx.ctx(*b);
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+            CellInterval slab = b->phiSrc.interior();
+            slab.zMin = cuts[i];
+            slab.zMax = cuts[i + 1] - 1;
+            runPhiKernel(kind, *b, ctx.forSlab(slab));
+        }
+        return b;
+    };
+
+    int mixed = 0;
+    for (const KernelTarget* t : availableKernelTargets()) {
+        ASSERT_TRUE(setKernelTarget(t->name));
+        for (const Case& c : cases) {
+            for (int nx : {4, 12, 16, 20}) {
+                for (const auto& cuts : partitions) {
+                    SCOPED_TRACE(std::string("target=") + t->name +
+                                 " case=" + c.name +
+                                 " nx=" + std::to_string(nx) +
+                                 " slabs=" + std::to_string(cuts.size() - 1));
+                    const Int3 size{nx, 12, 16};
+                    auto cell = sweep(PhiKernelKind::SimdTzStagCut, c, size,
+                                      cuts);
+                    auto multi = sweep(PhiKernelKind::SimdFourCell, c, size,
+                                       cuts);
+                    EXPECT_TRUE(sameBytes(cell->phiDst, multi->phiDst))
+                        << "max |diff| = " << maxDiff(cell->phiDst, multi->phiDst);
+                    if (c.speckled) mixed += mixedGroups(cell->phiSrc, 8);
+                }
+            }
+        }
+    }
+    EXPECT_GT(mixed, 0) << "speckled block must mix bulk and non-bulk lanes";
 }
 
 } // namespace

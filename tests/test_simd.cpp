@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "simd/simd.h"
+#include "simd/simplex4.h"
 #include "util/alignment.h"
 #include "util/fastmath.h"
 #include "util/random.h"
+#include "util/simplex.h"
 
 namespace tpf::simd {
 namespace {
@@ -292,6 +295,48 @@ TYPED_TEST(SimdWidthTest, NegatePreservesSignedZeroAndSpecials) {
     for (int i = 0; i < W; ++i) inf[i] = HUGE_VAL;
     auto ninf = allLanes(-TypeParam::loadu(inf));
     for (int i = 0; i < W; ++i) EXPECT_EQ(ninf[i], -HUGE_VAL);
+}
+
+TYPED_TEST(SimdWidthTest, SlideUpCarriesTheTopLane) {
+    constexpr int W = TypeParam::width;
+    double cur[W], carry[W];
+    for (int i = 0; i < W; ++i) {
+        cur[i] = 10.0 + i;
+        carry[i] = -1.0 - i;
+    }
+    const auto got = allLanes(
+        TypeParam::slideUp(TypeParam::loadu(cur), TypeParam::loadu(carry)));
+    EXPECT_EQ(got[0], carry[W - 1]);
+    for (int i = 1; i < W; ++i) EXPECT_EQ(got[i], cur[i - 1]) << "lane " << i;
+}
+
+TYPED_TEST(SimdWidthTest, SimplexProjectionMatchesScalarBitwise) {
+    // Lane-wise projection vs tpf::projectToSimplex4, memcmp per lane: the
+    // multi-cell phi kernel relies on this down to the sign of zero (ties,
+    // -0.0 inputs) to stay bitwise equal to the cellwise one.
+    constexpr int W = TypeParam::width;
+    Random rng(41);
+    const double specials[] = {0.0, -0.0, 1.0, 0.5, 0.25};
+    for (int t = 0; t < 200; ++t) {
+        double x[4][W];
+        for (int i = 0; i < W; ++i)
+            for (int a = 0; a < 4; ++a)
+                x[a][i] = t % 2 ? specials[rng.uniformInt(5)]
+                                : rng.uniform(-0.2, 1.2);
+        TypeParam v[4];
+        for (int a = 0; a < 4; ++a) v[a] = TypeParam::loadu(x[a]);
+        projectToSimplex4Lanes(v[0], v[1], v[2], v[3]);
+        for (int i = 0; i < W; ++i) {
+            double ref[4] = {x[0][i], x[1][i], x[2][i], x[3][i]};
+            projectToSimplex4(ref[0], ref[1], ref[2], ref[3]);
+            for (int a = 0; a < 4; ++a) {
+                const double got = allLanes(v[a])[static_cast<std::size_t>(i)];
+                EXPECT_EQ(std::memcmp(&got, &ref[a], sizeof(double)), 0)
+                    << "trial " << t << " lane " << i << " phase " << a
+                    << ": " << got << " vs " << ref[a];
+            }
+        }
+    }
 }
 
 TYPED_TEST(SimdWidthTest, LoadStoreAlignment) {

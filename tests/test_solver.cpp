@@ -356,8 +356,9 @@ TEST(Solver, TimeloopTimingsAreRecorded) {
 }
 
 TEST(Solver, KernelChoiceDoesNotChangePhysics) {
-    // Production SIMD kernels vs scalar reference kernels over a full run:
-    // same physics within accumulated rounding.
+    // Production SIMD kernels (the SolverConfig defaults) vs scalar
+    // reference kernels over a full run: same physics within accumulated
+    // rounding.
     auto cfg = smallConfig();
     cfg.phiKernel = PhiKernelKind::Basic;
     cfg.muKernel = MuKernelKind::Basic;
@@ -365,14 +366,47 @@ TEST(Solver, KernelChoiceDoesNotChangePhysics) {
     ref.initialize();
     ref.run(30);
 
-    cfg.phiKernel = PhiKernelKind::SimdTzStagCut;
-    cfg.muKernel = MuKernelKind::SimdTzStagCut;
+    const SolverConfig production;
+    cfg.phiKernel = production.phiKernel;
+    cfg.muKernel = production.muKernel;
     Solver opt(cfg);
     opt.initialize();
     opt.run(30);
 
     EXPECT_LT(Snapshot::take(ref).maxDiff(Snapshot::take(opt)), 1e-7);
 }
+
+class SolverPhiKernelTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverPhiKernelTest, ProductionPhiKernelMatchesCellwiseBitwise) {
+    // The production phi-sweep (multi-cell) must reproduce the cellwise
+    // SimdTzStagCut kernel bit for bit over a whole solidify run: window
+    // shifts, and with threads = 2 the slab restarts of the staggered
+    // buffers.
+    auto cfg = smallConfig();
+    cfg.window.enabled = true;
+    cfg.window.triggerFraction = 0.18;
+    cfg.window.checkEvery = 5;
+    cfg.threads = GetParam();
+    ASSERT_NE(cfg.phiKernel, PhiKernelKind::SimdTzStagCut)
+        << "the default phi kernel is the reference: comparison is vacuous";
+
+    Solver production(cfg);
+    production.initialize();
+    production.run(120);
+
+    cfg.phiKernel = PhiKernelKind::SimdTzStagCut;
+    Solver cellwise(cfg);
+    cellwise.initialize();
+    cellwise.run(120);
+
+    EXPECT_GT(production.windowOffsetCells(), 0.0) << "no window shift ran";
+    EXPECT_EQ(production.windowOffsetCells(), cellwise.windowOffsetCells());
+    EXPECT_TRUE(Snapshot::take(production).bitwiseEqual(Snapshot::take(cellwise)))
+        << "threads=" << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SolverPhiKernelTest, ::testing::Values(1, 2));
 
 } // namespace
 } // namespace tpf::core

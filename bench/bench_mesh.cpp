@@ -7,6 +7,13 @@
 /// I/O-reduction argument rests on (extraction must be cheap next to the
 /// solver, §3.2; docs/MESH.md).
 ///
+/// The solid sits low in the column, in rank 0's block, so the rank scaling
+/// rests on the pipeline's chunk balancing: the "busiest rank" column is the
+/// largest per-rank extract + simplify time, and "shipped" counts the chunks
+/// executed off their owner per frame. The last row fills the bottom quarter
+/// (the interface just inside rank 0's block at 4 ranks). Runs over the
+/// default transport; set TPF_TRANSPORT=shm for forked ranks.
+///
 /// The production-step benchmark (prodbench/) times the same stages inside a
 /// solidify run as its io.mesh_*_ms metrics.
 
@@ -26,29 +33,36 @@ namespace {
 constexpr int kWarmupSteps = 8;
 constexpr int kTimedSteps = 24;
 constexpr int kFrames = 5;
-constexpr int kPhases = 3;
+constexpr int kNz = 128;
 
 struct Result {
-    double extractMs = 0.0;  ///< per frame, summed over this rank's chunks
+    double extractMs = 0.0;  ///< per frame, summed over root's chunks
     double simplifyMs = 0.0; ///< per frame
-    double gatherMs = 0.0;   ///< per frame, incl. the root-side stitch
+    double gatherMs = 0.0;   ///< per frame, incl. balancing and the stitch
+    double busiestMs = 0.0;  ///< per frame, max over ranks of extract+simplify
+    double shipped = 0.0;    ///< chunks executed off their owner per frame
     double stepMs = 0.0;     ///< one solver step
 };
 
-core::SolverConfig meshBenchConfig(int ranks, int threads) {
+core::SolverConfig meshBenchConfig(int ranks, int threads, int fill) {
     core::SolverConfig cfg;
-    cfg.globalCells = {32, 32, 128};
-    if (ranks > 1) cfg.blockSize = {32, 32, 128 / ranks};
+    cfg.globalCells = {32, 32, kNz};
+    if (ranks > 1) cfg.blockSize = {32, 32, kNz / ranks};
     cfg.threads = threads;
+    if (fill > 0) {
+        cfg.init.fillHeight = fill;
+        cfg.model.temp.zEut0 = fill;
+    }
     return cfg;
 }
 
 /// One decomposition: warm the solver into a developed microstructure, time
-/// plain stepping, then time kFrames full-pipeline extractions.
-Result measure(int ranks, int threads) {
+/// plain stepping, then time kFrames full-pipeline extractions. \p fill 0
+/// keeps the default solid fill.
+Result measure(int ranks, int threads, int fill) {
     Result res;
     auto body = [&](vmpi::Comm* comm) {
-        core::Solver solver(meshBenchConfig(ranks, threads), comm);
+        core::Solver solver(meshBenchConfig(ranks, threads, fill), comm);
         solver.initialize();
         solver.run(kWarmupSteps);
 
@@ -60,14 +74,17 @@ Result measure(int ranks, int threads) {
         io::MeshPipelineOptions opt;
         opt.pool = solver.pool();
         for (int frame = 0; frame < kFrames; ++frame)
-            for (int phase = 0; phase < kPhases; ++phase)
-                io::extractGlobalPhaseSurface(solver.localBlocks(),
-                                              solver.forest(), comm, phase,
-                                              opt, &tm);
+            io::extractGlobalPhaseSurfaces(solver.localBlocks(),
+                                           solver.forest(), comm, {0, 1, 2},
+                                           opt, &tm);
+        double busiest = tm.extractSec + tm.simplifySec;
+        if (comm != nullptr) busiest = comm->allreduceMax(busiest);
         if (!comm || comm->isRoot()) {
             res.extractMs = tm.extractSec / kFrames * 1e3;
             res.simplifyMs = tm.simplifySec / kFrames * 1e3;
             res.gatherMs = tm.gatherSec / kFrames * 1e3;
+            res.busiestMs = busiest / kFrames * 1e3;
+            res.shipped = static_cast<double>(tm.chunksOffOwner) / kFrames;
             res.stepMs = stepSec * 1e3;
         }
     };
@@ -81,31 +98,37 @@ Result measure(int ranks, int threads) {
 } // namespace
 
 int main() {
-    std::printf("== In-situ mesh pipeline, 32x32x128 solidify, %d phases, "
+    std::printf("== In-situ mesh pipeline, 32x32x%d solidify, 3 phases, "
                 "%d frames ==\n\n",
-                kPhases, kFrames);
+                kNz, kFrames);
 
-    Table t({"ranks", "threads", "extract [ms]", "simplify [ms]",
-                   "gather [ms]", "frame [ms]", "step [ms]"});
-    double overheadAt100 = -1.0;
-    for (const int ranks : {1, 2, 4}) {
-        for (const int threads : {1, 4}) {
-            const Result r = measure(ranks, threads);
-            const double frameMs = r.extractMs + r.simplifyMs + r.gatherMs;
-            t.addRow({std::to_string(ranks), std::to_string(threads),
-                      Table::num(r.extractMs, 3),
-                      Table::num(r.simplifyMs, 3),
-                      Table::num(r.gatherMs, 3),
-                      Table::num(frameMs, 3),
-                      Table::num(r.stepMs, 3)});
-
-            if (ranks == 1 && threads == 1)
-                overheadAt100 = frameMs / (100.0 * r.stepMs);
+    Table t({"ranks", "threads", "fill", "extract [ms]", "simplify [ms]",
+             "gather [ms]", "frame [ms]", "busiest rank [ms]", "shipped",
+             "step [ms]"});
+    std::string overhead;
+    auto row = [&](int ranks, int threads, int fill) {
+        const Result r = measure(ranks, threads, fill);
+        const double frameMs = r.extractMs + r.simplifyMs + r.gatherMs;
+        t.addRow({std::to_string(ranks), std::to_string(threads),
+                  fill > 0 ? std::to_string(fill) : "default",
+                  Table::num(r.extractMs, 3), Table::num(r.simplifyMs, 3),
+                  Table::num(r.gatherMs, 3), Table::num(frameMs, 3),
+                  Table::num(r.busiestMs, 3), Table::num(r.shipped, 3),
+                  Table::num(r.stepMs, 3)});
+        if (threads == 1 && fill == 0) {
+            char buf[64];
+            std::snprintf(buf, sizeof buf, "%sr%d %.2f%%",
+                          overhead.empty() ? "" : ", ", ranks,
+                          frameMs / (100.0 * r.stepMs) * 100.0);
+            overhead += buf;
         }
-    }
+    };
+    for (const int ranks : {1, 2, 4})
+        for (const int threads : {1, 4}) row(ranks, threads, 0);
+    row(4, 1, kNz / 4 - 4); // front-localized: bottom quarter, rank 0 only
     t.print();
-    std::printf("\nin-situ overhead at one frame per 100 steps (r1 t1): "
-                "%.4f%% of solver time\n",
-                overheadAt100 * 100.0);
+    std::printf("\nin-situ overhead at one frame per 100 steps (t1, root's "
+                "frame wall vs its step): %s of solver time\n",
+                overhead.c_str());
     return 0;
 }

@@ -1,5 +1,6 @@
 #include "analysis/correlation.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/lamellae.h" // indicatorPlane: the shared phase threshold
@@ -10,18 +11,52 @@ namespace tpf::analysis {
 namespace {
 inline int wrap(int v, int n) { return ((v % n) + n) % n; }
 
+/// \p row extended periodically: ext[j] = row[(j - lo) mod nx] for j in
+/// [0, nx + lo + hi), so ext[x + lo + d] = row[(x + d) mod nx] for every
+/// x in [0, nx) and lag d in [-lo, hi] — one wrap per row, none per cell.
+void extendRow(const unsigned char* row, int nx, int lo, int hi,
+               std::vector<unsigned char>& ext) {
+    ext.resize(static_cast<std::size_t>(nx + lo + hi));
+    int src = wrap(-lo, nx);
+    for (unsigned char& e : ext) {
+        e = row[src];
+        if (++src == nx) src = 0;
+    }
+}
+
+/// Sum over x < n of f(a[x], b[x]). A row sum is at most 255 * n, so it
+/// accumulates in 32 bits, which is what lets the loop vectorize well. Kept
+/// out of line: inlined into the loop over lags, GCC vectorizes that outer
+/// loop instead (64 lags per vector), the 2 m + 1 lags of a map run on its
+/// scalar remainder, and the map measured no faster than the modulo loop
+/// this replaces (out of line: about 5x faster).
+template <typename Pair>
+[[gnu::noinline]] long long rowSum(const unsigned char* a,
+                                   const unsigned char* b, int n, Pair f) {
+    unsigned sum = 0;
+    for (int x = 0; x < n; ++x) sum += f(a[x], b[x]);
+    return sum;
+}
+
+/// Cells that are both in the phase (nonzero): S2 counts cells, not bits.
+inline unsigned bothSet(unsigned char p, unsigned char q) {
+    return static_cast<unsigned>(p != 0) & static_cast<unsigned>(q != 0);
+}
+
 /// Integer S2 hit counts of one plane, accumulated into \p hits.
 void accumulatePlaneHits(const unsigned char* ind, int nx, int ny, int axis,
                          int maxShift, std::vector<long long>& hits) {
+    std::vector<unsigned char> ext;
     for (int y = 0; y < ny; ++y) {
-        for (int x = 0; x < nx; ++x) {
-            if (!ind[static_cast<std::size_t>(y) * nx + x]) continue;
-            for (int r = 0; r <= maxShift; ++r) {
-                const int xs = axis == 0 ? wrap(x + r, nx) : x;
-                const int ys = axis == 1 ? wrap(y + r, ny) : y;
-                if (ind[static_cast<std::size_t>(ys) * nx + xs])
-                    ++hits[static_cast<std::size_t>(r)];
-            }
+        const unsigned char* row = ind + static_cast<std::size_t>(y) * nx;
+        if (axis == 0) extendRow(row, nx, 0, maxShift, ext);
+        for (int r = 0; r <= maxShift; ++r) {
+            const unsigned char* other =
+                axis == 0
+                    ? ext.data() + r
+                    : ind + static_cast<std::size_t>(wrap(y + r, ny)) * nx;
+            hits[static_cast<std::size_t>(r)] +=
+                rowSum(row, other, nx, bothSet);
         }
     }
 }
@@ -82,21 +117,29 @@ std::vector<double> correlationMap2DPlane(const unsigned char* ind, int nx,
     const int side = 2 * maxShift + 1;
     std::vector<double> map(static_cast<std::size_t>(side) * side, 0.0);
 
+    // Modulo-free: the row shift wraps once per (dy, y) and the column
+    // shift once per row through the extended row, so every (dx, dy) lag is
+    // a contiguous row sum. The counts are integers, so the summation order
+    // leaves the map bitwise unchanged.
+    const std::size_t lags = static_cast<std::size_t>(side);
+    std::vector<long long> hits(lags);
+    std::vector<unsigned char> ext;
+    const auto bitAnd = [](unsigned char p, unsigned char q) {
+        return static_cast<unsigned>(p & q);
+    };
+    const double cells = static_cast<double>(nx) * ny;
     for (int dy = -maxShift; dy <= maxShift; ++dy) {
-        for (int dx = -maxShift; dx <= maxShift; ++dx) {
-            long long hits = 0;
-            for (int y = 0; y < ny; ++y) {
-                const int ys = wrap(y + dy, ny);
-                for (int x = 0; x < nx; ++x) {
-                    const int xs = wrap(x + dx, nx);
-                    hits += ind[static_cast<std::size_t>(y) * nx + x] &
-                            ind[static_cast<std::size_t>(ys) * nx + xs];
-                }
-            }
-            map[static_cast<std::size_t>(dy + maxShift) * side +
-                (dx + maxShift)] =
-                static_cast<double>(hits) / (static_cast<double>(nx) * ny);
+        std::fill(hits.begin(), hits.end(), 0);
+        for (int y = 0; y < ny; ++y) {
+            const unsigned char* row = ind + static_cast<std::size_t>(y) * nx;
+            extendRow(ind + static_cast<std::size_t>(wrap(y + dy, ny)) * nx,
+                      nx, maxShift, maxShift, ext);
+            for (std::size_t k = 0; k < lags; ++k)
+                hits[k] += rowSum(row, ext.data() + k, nx, bitAnd);
         }
+        for (std::size_t k = 0; k < lags; ++k)
+            map[static_cast<std::size_t>(dy + maxShift) * lags + k] =
+                static_cast<double>(hits[k]) / cells;
     }
     return map;
 }

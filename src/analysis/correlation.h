@@ -10,6 +10,12 @@
 /// tiles — hit counting is integer, the single normalizing division is the
 /// only floating-point operation, so the results are decomposition-
 /// independent) and field-based convenience wrappers.
+///
+/// Counting is modulo-free: each plane row is extended periodically once
+/// per row (one wrap per row, not one per cell and lag), so every lag is a
+/// contiguous row sum that vectorizes. The counts are integers, so the
+/// results are bitwise those of the per-cell modulo loops they replaced
+/// (test_analysis `Correlation.PlaneKernelsMatchModuloReference`).
 
 #include <vector>
 

@@ -53,23 +53,24 @@ void MeshObserver::sample(core::Solver& solver, long long step) {
     vmpi::Comm* comm = solver.comm();
     const bool isRoot = comm == nullptr || comm->isRoot();
 
+    io::MeshPipelineOptions po;
+    po.iso = opt_.iso;
+    po.reduceTarget = opt_.reduceTarget;
+    po.pool = solver.pool();
+    const std::vector<io::TriMesh> meshes = io::extractGlobalPhaseSurfaces(
+        solver.localBlocks(), solver.forest(), comm, opt_.phases, po,
+        &timings_);
+    if (!isRoot) return;
     std::vector<double> row{solver.time()};
-    for (const int phase : opt_.phases) {
-        io::MeshPipelineOptions po;
-        po.iso = opt_.iso;
-        po.reduceTarget = opt_.reduceTarget;
-        po.pool = solver.pool();
-        const io::TriMesh mesh = io::extractGlobalPhaseSurface(
-            solver.localBlocks(), solver.forest(), comm, phase, po,
-            &timings_);
-        if (!isRoot) continue;
-        io::writeObj(opt_.dir + "/" + objName(phase, step), mesh);
+    for (std::size_t k = 0; k < meshes.size(); ++k) {
+        const io::TriMesh& mesh = meshes[k];
+        io::writeObj(opt_.dir + "/" + objName(opt_.phases[k], step), mesh);
         row.push_back(static_cast<double>(mesh.numTriangles()));
         row.push_back(static_cast<double>(mesh.numVertices()));
         row.push_back(mesh.totalArea());
         row.push_back(static_cast<double>(mesh.eulerCharacteristic()));
     }
-    if (isRoot && csv_.isOpen()) csv_.writeRow(step, row);
+    if (csv_.isOpen()) csv_.writeRow(step, row);
 }
 
 void MeshObserver::attach(core::Solver& solver) {

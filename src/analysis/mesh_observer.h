@@ -5,8 +5,8 @@
 /// the paper's I/O-reduction payoff (§3.2: 121 GB of raw fields shrunk to
 /// surface meshes) as a post-step observer instead of an offline pass.
 ///
-/// Per sampled step the observer runs io::extractGlobalPhaseSurface for each
-/// configured phase (collective: every rank participates); root writes
+/// Per sampled step the observer runs io::extractGlobalPhaseSurfaces over
+/// the configured phases (collective: every rank participates); root writes
 /// `<dir>/phase<k>_step<NNNNNN>.obj` and appends one row with triangle
 /// count, vertex count, area and Euler characteristic per phase to the
 /// `# tpf-mesh v1` index CSV `<dir>/mesh_index.csv`.

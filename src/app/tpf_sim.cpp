@@ -386,9 +386,11 @@ void runRank(const RunOptions& opt, const core::SolverConfig& cfg,
     }
     if (mesh) {
         const io::MeshPipelineTimings& mt = mesh->timings();
-        std::printf("mesh pipeline (total): extract %.3f s  simplify %.3f s  "
-                    "gather+stitch %.3f s\n",
-                    mt.extractSec, mt.simplifySec, mt.gatherSec);
+        std::printf("mesh pipeline (total, rank 0): extract %.3f s  simplify "
+                    "%.3f s  balance+gather+stitch %.3f s  chunks off owner "
+                    "%lld\n",
+                    mt.extractSec, mt.simplifySec, mt.gatherSec,
+                    mt.chunksOffOwner);
     }
 }
 

@@ -87,12 +87,14 @@ void marchTet(TriMesh& m, const Vec3 p[4], const double v[4], double iso) {
     }
 }
 
-/// March every cube whose lower corner z lies in [z0, z1) over the full x/y
-/// interior, appending raw (unwelded) triangles to \p mesh. With \p wrapXY
-/// the +1 lateral corner reads wrap to x/y = 0 (periodic self-wrap: only the
-/// z ghost planes are touched); otherwise they read the +1 ghost layer.
-void marchCubeRange(TriMesh& mesh, const Field<double>& field, int component,
-                    double iso, Vec3 origin, int z0, int z1, bool wrapXY) {
+/// Visit every cube whose lower corner z lies in [z0, z1) over the full x/y
+/// interior and whose corners straddle the iso value, as \p fn(x, y, z, cv)
+/// with the eight corner values in kCubeCorner order. With \p wrapXY the +1
+/// lateral corner reads wrap to x/y = 0 (periodic self-wrap: only the z
+/// ghost planes are touched); otherwise they read the +1 ghost layer.
+template <typename Fn>
+void forEachCutCube(const Field<double>& field, int component, double iso,
+                    int z0, int z1, bool wrapXY, Fn&& fn) {
     const int nx = field.nx(), ny = field.ny();
     // Hoisted row pointers: per (y, z) the four corner rows of the cube
     // layer, with the constant x stride of the layout (1 for fzyx, nf for
@@ -112,10 +114,8 @@ void marchCubeRange(TriMesh& mesh, const Field<double>& field, int component,
                 field.ptr(0, yUp, z + 1, component),
             };
             for (int x = 0; x < nx; ++x) {
-                // Cube on the cell centers (x..x+1, y..y+1, z..z+1).
-                // Classify the corners first and bail before building any
-                // positions: the overwhelming majority of cubes lie entirely
-                // on one side of the iso value.
+                // Classify the corners first: the overwhelming majority of
+                // cubes lie entirely on one side of the iso value.
                 const std::ptrdiff_t a = x * xs;
                 const std::ptrdiff_t b =
                     (wrapXY && x + 1 == nx) ? 0 : (x + 1) * xs;
@@ -125,26 +125,33 @@ void marchCubeRange(TriMesh& mesh, const Field<double>& field, int component,
                                       row[3][a], row[3][b]};
                 bool anyIn = false, anyOut = false;
                 for (const double v : cv) (v >= iso ? anyIn : anyOut) = true;
-                if (!anyIn || !anyOut) continue; // no crossing in this cube
-
-                Vec3 cp[8];
-                for (int c = 0; c < 8; ++c) {
-                    const auto& o = kCubeCorner[static_cast<std::size_t>(c)];
-                    cp[c] = Vec3{origin.x + x + o[0] + 0.5,
-                                 origin.y + y + o[1] + 0.5,
-                                 origin.z + z + o[2] + 0.5};
-                }
-
-                for (const auto& tet : kCubeTets) {
-                    const Vec3 tp[4] = {cp[tet[0]], cp[tet[1]], cp[tet[2]],
-                                        cp[tet[3]]};
-                    const double tv[4] = {cv[tet[0]], cv[tet[1]], cv[tet[2]],
-                                          cv[tet[3]]};
-                    marchTet(mesh, tp, tv, iso);
-                }
+                if (anyIn && anyOut) fn(x, y, z, cv);
             }
         }
     }
+}
+
+/// March every cut cube with lower corner z in [z0, z1), appending raw
+/// (unwelded) triangles to \p mesh.
+void marchCubeRange(TriMesh& mesh, const Field<double>& field, int component,
+                    double iso, Vec3 origin, int z0, int z1, bool wrapXY) {
+    forEachCutCube(field, component, iso, z0, z1, wrapXY,
+                   [&](int x, int y, int z, const double (&cv)[8]) {
+        // Cube on the cell centers (x..x+1, y..y+1, z..z+1).
+        Vec3 cp[8];
+        for (int c = 0; c < 8; ++c) {
+            const auto& o = kCubeCorner[static_cast<std::size_t>(c)];
+            cp[c] = Vec3{origin.x + x + o[0] + 0.5, origin.y + y + o[1] + 0.5,
+                         origin.z + z + o[2] + 0.5};
+        }
+        for (const auto& tet : kCubeTets) {
+            const Vec3 tp[4] = {cp[tet[0]], cp[tet[1]], cp[tet[2]],
+                                cp[tet[3]]};
+            const double tv[4] = {cv[tet[0]], cv[tet[1]], cv[tet[2]],
+                                  cv[tet[3]]};
+            marchTet(mesh, tp, tv, iso);
+        }
+    });
 }
 
 } // namespace
@@ -199,6 +206,18 @@ TriMesh extractIsoSurfaceWrapXY(const Field<double>& field, int component,
                    /*wrapXY=*/true);
     mesh.weldVertices(1e-7);
     return mesh;
+}
+
+long long countCutCubesWrapXY(const Field<double>& field, int component,
+                              double iso, int z0, int z1) {
+    TPF_ASSERT(field.ghost() >= 1,
+               "iso-surface extraction reads the +1 z ghost plane");
+    TPF_ASSERT(z0 >= 0 && z1 <= field.nz() && z0 <= z1,
+               "cube z range out of the field interior");
+    long long cut = 0;
+    forEachCutCube(field, component, iso, z0, z1, /*wrapXY=*/true,
+                   [&](int, int, int, const double (&)[8]) { ++cut; });
+    return cut;
 }
 
 TriMesh extractPhaseSurface(const core::SimBlock& blk, int phase, double iso) {

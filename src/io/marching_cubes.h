@@ -41,6 +41,13 @@ TriMesh extractIsoSurface(const Field<double>& field, int component, double iso,
 TriMesh extractIsoSurfaceWrapXY(const Field<double>& field, int component,
                                 double iso, Vec3 origin, int z0, int z1);
 
+/// Number of cubes extractIsoSurfaceWrapXY(field, component, iso, ., z0, z1)
+/// marches: those whose corners straddle \p iso. Zero means that call
+/// returns an empty mesh. The mesh pipeline's per-chunk cost proxy — the
+/// triangle count, and with it the extract and simplify work, grows with it.
+long long countCutCubesWrapXY(const Field<double>& field, int component,
+                              double iso, int z0, int z1);
+
 /// Interface mesh of one phase of a simulation block (phi_a = 0.5 surface)
 /// in global cell coordinates.
 TriMesh extractPhaseSurface(const core::SimBlock& blk, int phase,

@@ -163,20 +163,14 @@ std::size_t simplifyMesh(TriMesh& mesh, const SimplifyOptions& opt) {
     // Locked vertices (block-boundary preservation during hierarchical
     // reduction): edges touching them are never collapsed.
     std::vector<char> locked(nv, 0);
-    bool anyLocked = false;
     if (opt.lockedFlags) {
         TPF_ASSERT(opt.lockedFlags->size() == nv, "lock flag size mismatch");
         locked = *opt.lockedFlags;
-        for (char c : locked) anyLocked |= (c != 0);
     }
     if (opt.lockedVertex) {
         for (std::size_t v = 0; v < nv; ++v)
-            if (opt.lockedVertex(mesh.vertices[v])) {
-                locked[v] = 1;
-                anyLocked = true;
-            }
+            if (opt.lockedVertex(mesh.vertices[v])) locked[v] = 1;
     }
-    (void)anyLocked;
 
     // --- connectivity ---
     Connectivity conn;

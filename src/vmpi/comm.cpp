@@ -120,6 +120,32 @@ Comm::gatherAllBytes(const std::vector<std::byte>& mine) {
     return {};
 }
 
+std::vector<std::vector<std::byte>>
+Comm::alltoallBytes(std::vector<std::vector<std::byte>> out) {
+    const int seq = transport_->nextCollectiveSeq();
+    const int tag = collectiveTag(seq, 0);
+    const int n = size();
+    const int me = rank();
+    TPF_ASSERT(static_cast<int>(out.size()) == n,
+               "alltoallBytes needs one blob per rank");
+    // Sends are buffered, so posting every send before the first receive
+    // cannot deadlock. Starting at the next rank spreads the traffic.
+    for (int k = 1; k < n; ++k) {
+        const int dst = (me + k) % n;
+        std::vector<std::byte>& blob = out[static_cast<std::size_t>(dst)];
+        send(dst, tag, blob.data(), blob.size());
+        std::vector<std::byte>().swap(blob);
+    }
+    std::vector<std::vector<std::byte>> in(static_cast<std::size_t>(n));
+    in[static_cast<std::size_t>(me)] =
+        std::move(out[static_cast<std::size_t>(me)]);
+    for (int k = 1; k < n; ++k) {
+        const int src = (me - k + n) % n;
+        recv(src, tag, in[static_cast<std::size_t>(src)]);
+    }
+    return in;
+}
+
 void Comm::bcastBytes(void* data, std::size_t bytes) {
     const int seq = transport_->nextCollectiveSeq();
     const int tagBcast = collectiveTag(seq, 1);

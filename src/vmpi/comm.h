@@ -190,6 +190,16 @@ public:
     std::vector<std::vector<std::byte>>
     gatherAllBytes(const std::vector<std::byte>& mine);
 
+    /// Personalized all-to-all of variable-length byte blobs
+    /// (MPI_Alltoallv): \p out[r] goes to rank r (one message per pair,
+    /// empty ones included). Returns what every rank sent to this one,
+    /// indexed by source rank; out[rank()] comes back in place. Each
+    /// outgoing blob is released once sent. Collective. The mesh pipeline
+    /// uses it to agree chunk costs and to ship chunks to the rank that
+    /// extracts them (src/io/mesh_pipeline.h).
+    std::vector<std::vector<std::byte>>
+    alltoallBytes(std::vector<std::vector<std::byte>> out);
+
     /// Broadcast a trivially copyable value from root.
     template <typename T>
     T bcast(T v) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "analysis/correlation.h"
 #include "analysis/fractions.h"
@@ -11,6 +14,7 @@
 #include "core/regions.h"
 #include "core/voronoi.h"
 #include "thermo/agalcu.h"
+#include "util/random.h"
 
 namespace tpf::analysis {
 namespace {
@@ -114,6 +118,93 @@ TEST(Correlation, PcaIsIsotropicForCheckerboardBlobs) {
     const auto map = correlationMap2D(phi, 0, 2, 8);
     const auto pca = correlationPca(map, 8);
     EXPECT_GT(pca.anisotropy(), 0.8) << "checkerboard is x/y symmetric";
+}
+
+// The modulo loops the plane kernels replaced, kept as the reference: a
+// wrap() per (cell, lag) instead of hoisted shifts and contiguous row sums.
+int wrapRef(int v, int n) { return ((v % n) + n) % n; }
+
+std::vector<double> s2ModuloReference(const unsigned char* ind, int nx, int ny,
+                                      int axis, int maxShift) {
+    std::vector<long long> hits(static_cast<std::size_t>(maxShift) + 1, 0);
+    for (int y = 0; y < ny; ++y)
+        for (int x = 0; x < nx; ++x) {
+            if (!ind[static_cast<std::size_t>(y) * nx + x]) continue;
+            for (int r = 0; r <= maxShift; ++r) {
+                const int xs = axis == 0 ? wrapRef(x + r, nx) : x;
+                const int ys = axis == 1 ? wrapRef(y + r, ny) : y;
+                if (ind[static_cast<std::size_t>(ys) * nx + xs])
+                    ++hits[static_cast<std::size_t>(r)];
+            }
+        }
+    std::vector<double> s2(hits.size());
+    const double inv = 1.0 / (static_cast<double>(nx) * ny);
+    for (std::size_t r = 0; r < hits.size(); ++r)
+        s2[r] = static_cast<double>(hits[r]) * inv;
+    return s2;
+}
+
+std::vector<double> mapModuloReference(const unsigned char* ind, int nx,
+                                       int ny, int maxShift) {
+    const int side = 2 * maxShift + 1;
+    std::vector<double> map(static_cast<std::size_t>(side) * side, 0.0);
+    for (int dy = -maxShift; dy <= maxShift; ++dy)
+        for (int dx = -maxShift; dx <= maxShift; ++dx) {
+            long long hits = 0;
+            for (int y = 0; y < ny; ++y) {
+                const int ys = wrapRef(y + dy, ny);
+                for (int x = 0; x < nx; ++x) {
+                    const int xs = wrapRef(x + dx, nx);
+                    hits += ind[static_cast<std::size_t>(y) * nx + x] &
+                            ind[static_cast<std::size_t>(ys) * nx + xs];
+                }
+            }
+            map[static_cast<std::size_t>(dy + maxShift) * side +
+                (dx + maxShift)] =
+                static_cast<double>(hits) / (static_cast<double>(nx) * ny);
+        }
+    return map;
+}
+
+bool sameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Correlation, PlaneKernelsMatchModuloReference) {
+    // Random planes, nx != ny including odd sizes and 1, lags up to past
+    // twice the period; indicator bytes 0/1 and, to pin the exact counting
+    // semantics (S2 counts nonzero pairs, the map sums bitwise ANDs),
+    // arbitrary bytes.
+    Random rng(20151115);
+    const int sizes[][2] = {{1, 1}, {1, 6}, {7, 1}, {5, 9}, {13, 4}, {33, 20}};
+    for (const auto& sz : sizes) {
+        const int nx = sz[0], ny = sz[1];
+        for (const int maxValue : {1, 255}) {
+            std::vector<unsigned char> ind(static_cast<std::size_t>(nx) * ny);
+            for (unsigned char& v : ind)
+                v = static_cast<unsigned char>(
+                    rng.uniformInt(static_cast<std::uint64_t>(maxValue) + 1));
+            for (const int n : {nx, ny}) {
+                for (const int maxShift : {0, 1, n - 1, n, 2 * n + 1}) {
+                    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) +
+                                 " maxShift=" + std::to_string(maxShift) +
+                                 " maxValue=" + std::to_string(maxValue));
+                    for (const int axis : {0, 1})
+                        EXPECT_TRUE(sameBytes(
+                            twoPointCorrelationPlane(ind.data(), nx, ny, axis,
+                                                     maxShift),
+                            s2ModuloReference(ind.data(), nx, ny, axis,
+                                              maxShift)))
+                            << "S2 along axis " << axis;
+                    EXPECT_TRUE(sameBytes(
+                        correlationMap2DPlane(ind.data(), nx, ny, maxShift),
+                        mapModuloReference(ind.data(), nx, ny, maxShift)))
+                        << "2D correlation map";
+                }
+            }
+        }
+    }
 }
 
 TEST(Lamellae, CountsStripesPerSlice) {

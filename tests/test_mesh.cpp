@@ -406,7 +406,8 @@ TriMesh stitchSphere(int ranks, int threads, double reduceTarget) {
         }
         const std::vector<MeshLocalSlab> slabs{
             MeshLocalSlab{&f, Int3{0, 0, zBase}}};
-        TriMesh stitched = stitchIsoSurface(slabs, 0, comm, opt);
+        TriMesh stitched =
+            std::move(stitchIsoSurfaces(slabs, {0}, comm, opt).front());
         if (comm == nullptr || comm->isRoot())
             result = std::move(stitched);
         else

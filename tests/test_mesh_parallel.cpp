@@ -2,7 +2,9 @@
 /// the mesh index CSV *and every streamed OBJ frame* of the solidify
 /// scenario are bitwise identical for every ranks x threads combination in
 /// {1,2,4} x {1,4}, with the moving window active and the production
-/// mu-overlap communication hiding on; a checkpoint-restarted run must
+/// mu-overlap communication hiding on; a front-localized run (all surface in
+/// rank 0's block) is rebalanced across ranks with the same bytes; a
+/// checkpoint-restarted run must
 /// leave exactly the artifacts of an uninterrupted one; and the index
 /// series is pinned against a committed golden reference.
 
@@ -14,7 +16,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <algorithm>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "analysis/mesh_observer.h"
@@ -81,11 +85,16 @@ analysis::MeshObserver::Options meshOptions(const std::string& dir,
     return opt; // phases {0,1,2}, reduceTarget 0.25 defaults
 }
 
-/// Run the solidify scenario with the mesh observer streaming into \p dir;
-/// returns root's final window offset (for the shift assertion).
-double runWithMeshObserver(const core::SolverConfig& cfg, int ranks,
-                           int steps, int every, const std::string& dir) {
-    double windowOffset = -1.0;
+/// Root's view of one observed run.
+struct MeshRun {
+    double windowOffset = -1.0; ///< final window offset (shift assertion)
+    long long chunksOffOwner = 0; ///< chunks executed off their owner
+};
+
+/// Run the solidify scenario with the mesh observer streaming into \p dir.
+MeshRun runWithMeshObserver(const core::SolverConfig& cfg, int ranks,
+                            int steps, int every, const std::string& dir) {
+    MeshRun run;
     auto body = [&](vmpi::Comm* comm) {
         core::Solver solver(cfg, comm);
         analysis::MeshObserver mesh(meshOptions(dir, every));
@@ -94,14 +103,16 @@ double runWithMeshObserver(const core::SolverConfig& cfg, int ranks,
         solver.initialize();
         mesh.sample(solver, 0);
         solver.run(steps);
-        if (!comm || comm->isRoot())
-            windowOffset = solver.windowOffsetCells();
+        if (!comm || comm->isRoot()) {
+            run.windowOffset = solver.windowOffsetCells();
+            run.chunksOffOwner = mesh.timings().chunksOffOwner;
+        }
     };
     if (ranks == 1)
         body(nullptr);
     else
         vmpi::runParallel(ranks, [&](vmpi::Comm& comm) { body(&comm); });
-    return windowOffset;
+    return run;
 }
 
 TEST(MeshRankInvariance, IndexAndObjFramesBitwiseIdenticalAcrossRanksAndThreads) {
@@ -117,7 +128,8 @@ TEST(MeshRankInvariance, IndexAndObjFramesBitwiseIdenticalAcrossRanksAndThreads)
                             std::to_string(threads));
             const double offset =
                 runWithMeshObserver(meshConfig(ranks, threads), ranks,
-                                    /*steps=*/16, /*every=*/4, out.string());
+                                    /*steps=*/16, /*every=*/4, out.string())
+                    .windowOffset;
 
             const std::map<std::string, std::string> artifacts =
                 readArtifacts(out);
@@ -131,6 +143,84 @@ TEST(MeshRankInvariance, IndexAndObjFramesBitwiseIdenticalAcrossRanksAndThreads)
                 const io::CsvSeries s = io::readCsvSeries(
                     (out / "mesh_index.csv").string());
                 ASSERT_EQ(s.rows.size(), 5u);
+            } else {
+                ASSERT_EQ(artifacts.size(), reference.size());
+                for (const auto& [name, bytes] : reference)
+                    EXPECT_TRUE(artifacts.at(name) == bytes)
+                        << name << " diverged from ranks=1 threads=1";
+            }
+        }
+    }
+}
+
+/// Front-localized solidify run: a 64-cell-high column whose solid fill
+/// (height 10, diffuse over +-2 cells) sits entirely in rank 0's 16-plane
+/// block at 4 ranks, with no window shift to move it. Rank 0 owns every
+/// chunk with surface, so the other ranks only see work the balancer ships
+/// to them.
+core::SolverConfig frontLocalizedConfig(int ranks, int threads) {
+    core::SolverConfig cfg;
+    cfg.globalCells = {16, 16, 64};
+    if (ranks > 1) cfg.blockSize = {16, 16, 64 / ranks};
+    cfg.threads = threads;
+    cfg.model.temp.gradient = 0.5;
+    cfg.model.temp.velocity = 0.02;
+    cfg.model.temp.zEut0 = 10.0;
+    cfg.init.fillHeight = 10;
+    cfg.overlapMu = true;
+    return cfg;
+}
+
+/// Largest vertex z over every OBJ frame in \p artifacts.
+double maxVertexZ(const std::map<std::string, std::string>& artifacts) {
+    double zMax = -1e300;
+    for (const auto& [name, bytes] : artifacts) {
+        if (name.size() < 4 || name.substr(name.size() - 4) != ".obj") continue;
+        std::istringstream in(bytes);
+        std::string tag;
+        double x = 0.0, y = 0.0, z = 0.0;
+        for (std::string line; std::getline(in, line);) {
+            std::istringstream l(line);
+            if (l >> tag && tag == "v" && l >> x >> y >> z)
+                zMax = std::max(zMax, z);
+        }
+    }
+    return zMax;
+}
+
+TEST(MeshRankInvariance, FrontLocalizedRunIsBalancedAndBitwiseIdentical) {
+    TempDir dir("front");
+    std::map<std::string, std::string> reference;
+
+    for (const int ranks : {1, 2, 4}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                         " threads=" + std::to_string(threads));
+            const fs::path out =
+                dir.path / ("front_r" + std::to_string(ranks) + "_t" +
+                            std::to_string(threads));
+            const MeshRun run = runWithMeshObserver(
+                frontLocalizedConfig(ranks, threads), ranks, /*steps=*/16,
+                /*every=*/8, out.string());
+
+            const std::map<std::string, std::string> artifacts =
+                readArtifacts(out);
+            // 3 samples (steps 0, 8, 16) x 3 phases + the index CSV.
+            ASSERT_EQ(artifacts.size(), 10u);
+            if (ranks == 1) {
+                EXPECT_EQ(run.chunksOffOwner, 0);
+            } else {
+                // Rank 0 owns every chunk with surface; the balancer must
+                // have handed some of them to the idle ranks.
+                EXPECT_GT(run.chunksOffOwner, 0);
+            }
+            if (reference.empty()) {
+                reference = artifacts;
+                const double zMax = maxVertexZ(artifacts);
+                EXPECT_GT(zMax, 8.0) << "the surface must span two chunks";
+                EXPECT_LT(zMax, 16.0)
+                    << "the surface left rank 0's block at 4 ranks — the "
+                       "run is no longer front-localized";
             } else {
                 ASSERT_EQ(artifacts.size(), reference.size());
                 for (const auto& [name, bytes] : reference)

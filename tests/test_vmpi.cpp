@@ -228,6 +228,41 @@ TEST_P(VmpiTransport, GatherAllBytesKeepsRankOrderAndSizes) {
     });
 }
 
+/// out[d] of rank s in round k: s * 4 + d + k bytes of value s * 16 + d + k.
+std::vector<std::vector<std::byte>> alltoallPayload(int rank, int ranks,
+                                                    int round) {
+    std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(ranks));
+    for (int d = 0; d < ranks; ++d)
+        out[static_cast<std::size_t>(d)].assign(
+            static_cast<std::size_t>(rank * 4 + d + round),
+            static_cast<std::byte>(rank * 16 + d + round));
+    return out;
+}
+
+/// What rank \p me must hold after alltoallBytes of alltoallPayload.
+void expectAlltoallReceived(const std::vector<std::vector<std::byte>>& in,
+                            int me, int ranks, int round) {
+    ASSERT_EQ(in.size(), static_cast<std::size_t>(ranks));
+    for (int s = 0; s < ranks; ++s) {
+        const auto& b = in[static_cast<std::size_t>(s)];
+        ASSERT_EQ(b.size(), static_cast<std::size_t>(s * 4 + me + round))
+            << "from rank " << s << " round " << round;
+        for (const std::byte v : b)
+            EXPECT_EQ(static_cast<int>(v), s * 16 + me + round);
+    }
+}
+
+TEST_P(VmpiTransport, AlltoallBytesRoutesEveryPair) {
+    run(4, [](Comm& c) {
+        // Rank- and destination-dependent sizes (rank 0 sends itself an
+        // empty blob), twice back to back.
+        for (int round = 0; round < 2; ++round)
+            expectAlltoallReceived(
+                c.alltoallBytes(alltoallPayload(c.rank(), 4, round)),
+                c.rank(), 4, round);
+    });
+}
+
 TEST_P(VmpiTransport, BcastDistributesRootValue) {
     run(4, [](Comm& c) {
         double v = c.isRoot() ? 42.5 : 0.0;
@@ -410,6 +445,10 @@ TEST(VmpiShuffled, BackToBackCollectivesSurviveRandomizedDelivery) {
                             EXPECT_EQ(static_cast<int>(v), r ^ round);
                     }
                 }
+
+                expectAlltoallReceived(
+                    c.alltoallBytes(alltoallPayload(c.rank(), 4, round)),
+                    c.rank(), 4, round);
 
                 int token = c.isRoot() ? round * 31 : -1;
                 token = c.bcast(token);

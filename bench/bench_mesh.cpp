@@ -17,8 +17,10 @@
 /// The production-step benchmark (prodbench/) times the same stages inside a
 /// solidify run as its io.mesh_*_ms metrics.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/solver.h"
 #include "io/mesh_pipeline.h"
@@ -31,7 +33,10 @@ using namespace tpf;
 namespace {
 
 constexpr int kWarmupSteps = 8;
-constexpr int kTimedSteps = 24;
+/// The step time is the median of kStepWindows windows of kWindowSteps
+/// steps each, so one noisy window cannot move the overhead line.
+constexpr int kStepWindows = 6;
+constexpr int kWindowSteps = 4;
 constexpr int kFrames = 5;
 constexpr int kNz = 128;
 
@@ -41,7 +46,9 @@ struct Result {
     double gatherMs = 0.0;   ///< per frame, incl. balancing and the stitch
     double busiestMs = 0.0;  ///< per frame, max over ranks of extract+simplify
     double shipped = 0.0;    ///< chunks executed off their owner per frame
-    double stepMs = 0.0;     ///< one solver step
+    double stepMs = 0.0;     ///< one solver step, median over the windows
+    double stepMinMs = 0.0;  ///< fastest window's step
+    double stepMaxMs = 0.0;  ///< slowest window's step
 };
 
 core::SolverConfig meshBenchConfig(int ranks, int threads, int fill) {
@@ -66,9 +73,13 @@ Result measure(int ranks, int threads, int fill) {
         solver.initialize();
         solver.run(kWarmupSteps);
 
-        const double t0 = perf::now();
-        solver.run(kTimedSteps);
-        const double stepSec = (perf::now() - t0) / kTimedSteps;
+        std::vector<double> stepSec;
+        for (int w = 0; w < kStepWindows; ++w) {
+            const double t0 = perf::now();
+            solver.run(kWindowSteps);
+            stepSec.push_back((perf::now() - t0) / kWindowSteps);
+        }
+        std::sort(stepSec.begin(), stepSec.end());
 
         io::MeshPipelineTimings tm;
         io::MeshPipelineOptions opt;
@@ -85,7 +96,12 @@ Result measure(int ranks, int threads, int fill) {
             res.gatherMs = tm.gatherSec / kFrames * 1e3;
             res.busiestMs = busiest / kFrames * 1e3;
             res.shipped = static_cast<double>(tm.chunksOffOwner) / kFrames;
-            res.stepMs = stepSec * 1e3;
+            // Even count: the mean of the two middle windows.
+            res.stepMs =
+                (stepSec[kStepWindows / 2 - 1] + stepSec[kStepWindows / 2]) /
+                2.0 * 1e3;
+            res.stepMinMs = stepSec.front() * 1e3;
+            res.stepMaxMs = stepSec.back() * 1e3;
         }
     };
     if (ranks == 1)
@@ -116,10 +132,12 @@ int main() {
                   Table::num(r.busiestMs, 3), Table::num(r.shipped, 3),
                   Table::num(r.stepMs, 3)});
         if (threads == 1 && fill == 0) {
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "%sr%d %.2f%%",
+            char buf[96];
+            std::snprintf(buf, sizeof buf,
+                          "%sr%d %.2f%% (step %.2f ms, windows %.2f-%.2f)",
                           overhead.empty() ? "" : ", ", ranks,
-                          frameMs / (100.0 * r.stepMs) * 100.0);
+                          frameMs / (100.0 * r.stepMs) * 100.0, r.stepMs,
+                          r.stepMinMs, r.stepMaxMs);
             overhead += buf;
         }
     };
@@ -128,7 +146,8 @@ int main() {
     row(4, 1, kNz / 4 - 4); // front-localized: bottom quarter, rank 0 only
     t.print();
     std::printf("\nin-situ overhead at one frame per 100 steps (t1, root's "
-                "frame wall vs its step): %s of solver time\n",
-                overhead.c_str());
+                "frame wall vs its median step over %d windows of %d steps, "
+                "window range in parentheses): %s\n",
+                kStepWindows, kWindowSteps, overhead.c_str());
     return 0;
 }

@@ -40,7 +40,8 @@ void MeshObserver::create(bool isRoot) {
 void MeshObserver::resume(bool isRoot, long long lastStep) {
     if (!isRoot) return;
     std::filesystem::create_directories(opt_.dir);
-    csv_.resume(indexPath_, kMeshCsvTag, kMeshCsvVersion, columns(), lastStep);
+    csv_.resume(indexPath_, kMeshCsvTag, kMeshCsvVersion, columns(), lastStep,
+                kMeshCsvFlags);
 }
 
 std::string MeshObserver::objName(int phase, long long step) {

@@ -32,6 +32,7 @@ namespace tpf::analysis {
 /// Index-CSV schema tag/version (same conventions as kAnalysisCsvTag).
 inline constexpr const char* kMeshCsvTag = "tpf-mesh";
 inline constexpr int kMeshCsvVersion = 1;
+inline constexpr io::SeriesFlags kMeshCsvFlags{"--mesh-dir", "--mesh-phases"};
 
 class MeshObserver {
 public:

@@ -172,12 +172,6 @@ void Pipeline::add(std::unique_ptr<Observer> obs) {
     obs_.push_back(std::move(obs));
 }
 
-Pipeline Pipeline::makeDefault() {
-    Pipeline p;
-    for (const auto& n : observerNames()) p.add(makeObserver(n));
-    return p;
-}
-
 std::vector<std::string> Pipeline::columns() const {
     std::vector<std::string> cols{"time", "window_offset"};
     for (const auto& o : obs_)
@@ -191,7 +185,7 @@ void Pipeline::createCsv(const std::string& path) {
 
 void Pipeline::resumeCsv(const std::string& path, long long lastStep) {
     csv_.resume(path, kAnalysisCsvTag, kAnalysisCsvVersion, columns(),
-                lastStep);
+                lastStep, kAnalysisCsvFlags);
 }
 
 void Pipeline::sample(core::Solver& solver, long long step) {

@@ -38,6 +38,9 @@ namespace tpf::analysis {
 /// resumed runs reject mismatching files with a pointed message.
 inline constexpr const char* kAnalysisCsvTag = "tpf-analysis";
 inline constexpr int kAnalysisCsvVersion = 1;
+/// The tpf-sim flags an incompatible series error points the user to.
+inline constexpr io::SeriesFlags kAnalysisCsvFlags{"--analysis-dir",
+                                                   "--analysis-observers"};
 
 /// Everything an observer may look at during one collective sample.
 struct SampleContext {
@@ -93,8 +96,6 @@ const std::vector<std::string>& observerNames();
 class Pipeline {
 public:
     void add(std::unique_ptr<Observer> obs);
-    /// All observers in canonical order (the default configuration).
-    static Pipeline makeDefault();
 
     /// Column names: time,window_offset + every observer's columns (the
     /// leading step key is owned by the writer).
@@ -105,7 +106,6 @@ public:
     /// Continue an existing series after a restart from step \p lastStep
     /// (root rank only). Throws io::CsvError on schema/column mismatch.
     void resumeCsv(const std::string& path, long long lastStep);
-    const std::string& csvPath() const { return csv_.path(); }
 
     /// Collective: sample every observer at completed step \p step and
     /// append one row on root.
@@ -115,8 +115,6 @@ public:
     /// global step divisible by \p every. Collective registration — every
     /// rank must attach an identically configured pipeline.
     void attach(core::Solver& solver, int every);
-
-    std::size_t observerCount() const { return obs_.size(); }
 
 private:
     std::vector<std::unique_ptr<Observer>> obs_;

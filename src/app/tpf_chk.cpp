@@ -29,6 +29,7 @@
 #include "io/checkpoint.h"
 #include "io/csv_writer.h"
 #include "obs/metrics.h"
+#include "obs/run_obs.h"
 #include "obs/trace.h"
 
 namespace {
@@ -94,15 +95,12 @@ int metrics(const std::string& file) {
     using namespace tpf;
     try {
         const io::CsvSeries series = io::readCsvSeries(file);
-        const std::string schema =
-            std::string("# ") + obs::MetricsRegistry::kCsvTag + " v" +
-            std::to_string(obs::MetricsRegistry::kCsvVersion);
-        if (series.schema != schema) {
-            std::fprintf(stderr,
-                         "tpf-chk: %s carries schema '%s', expected '%s'\n",
-                         file.c_str(), series.schema.c_str(), schema.c_str());
-            return 1;
-        }
+        // The schema line and header this build's tpf-sim writes.
+        using Registry = obs::MetricsRegistry;
+        io::checkSeriesContinuable(file, Registry::kCsvTag,
+                                   Registry::kCsvVersion,
+                                   obs::RunObs({}).metricsColumns(),
+                                   Registry::kCsvFlags);
         for (std::size_t i = 1; i < series.rows.size(); ++i) {
             if (series.stepOf(i) <= series.stepOf(i - 1)) {
                 std::fprintf(stderr,
@@ -114,7 +112,8 @@ int metrics(const std::string& file) {
             }
         }
         std::printf("metrics         %s\n", file.c_str());
-        std::printf("schema          %s\n", series.schema.c_str());
+        std::printf("schema          # %s v%d\n", Registry::kCsvTag,
+                    Registry::kCsvVersion);
         std::printf("columns         %zu\n", series.columns.size());
         std::printf("rows            %zu", series.rows.size());
         if (!series.rows.empty())

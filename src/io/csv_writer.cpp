@@ -50,7 +50,41 @@ long long parseStep(const std::string& cell, const std::string& path,
     return v;
 }
 
+/// The compatibility rule of checkSeriesContinuable on a parsed series.
+void checkContinuable(const CsvSeries& series, const std::string& path,
+                      const std::string& tag, int version,
+                      const std::vector<std::string>& columns,
+                      const SeriesFlags& flags) {
+    const std::string elsewhere =
+        std::string("point ") + flags.location + " elsewhere";
+    if (series.schema != schemaLine(tag, version))
+        throw CsvError(path + ": schema line is '" + series.schema +
+                       "' but this build writes '" + schemaLine(tag, version) +
+                       "' — the series cannot be continued; move it aside or " +
+                       elsewhere);
+    const std::string header = joinHeader(columns);
+    std::string existing = "step";
+    for (std::size_t i = 1; i < series.columns.size(); ++i)
+        existing += "," + series.columns[i];
+    if (existing != header)
+        throw CsvError(
+            path + ": column set '" + existing +
+            "' does not match this run's columns ('" + header + "') — " +
+            (flags.columns != nullptr
+                 ? std::string("pass the same ") + flags.columns +
+                       " as the original run, or " + elsewhere
+                 : "move it aside or " + elsewhere));
+}
+
 } // namespace
+
+void checkSeriesContinuable(const std::string& path, const std::string& tag,
+                            int version,
+                            const std::vector<std::string>& columns,
+                            const SeriesFlags& flags) {
+    if (!std::filesystem::exists(path)) return;
+    checkContinuable(readCsvSeries(path), path, tag, version, columns, flags);
+}
 
 CsvWriter::~CsvWriter() { close(); }
 
@@ -72,7 +106,6 @@ void CsvWriter::create(const std::string& path, const std::string& tag,
     if (f_ == nullptr)
         throw CsvError("cannot create CSV series " + path + ": " +
                        std::strerror(errno));
-    path_ = path;
     columnCount_ = columns.size();
     lastWrittenStep_ = -1;
     std::fprintf(f_, "%s\n%s\n", schemaLine(tag, version).c_str(),
@@ -82,10 +115,10 @@ void CsvWriter::create(const std::string& path, const std::string& tag,
 
 void CsvWriter::resume(const std::string& path, const std::string& tag,
                        int version, const std::vector<std::string>& columns,
-                       long long lastStep) {
+                       long long lastStep, const SeriesFlags& flags) {
     close();
     if (!std::filesystem::exists(path)) {
-        // No series to continue (e.g. a fresh --analysis-dir): start one.
+        // No series to continue (e.g. a fresh output directory): start one.
         // Rows before the restart step are then genuinely absent — the
         // original run's file is where they live.
         create(path, tag, version, columns);
@@ -94,21 +127,8 @@ void CsvWriter::resume(const std::string& path, const std::string& tag,
     }
 
     const CsvSeries series = readCsvSeries(path);
-    if (series.schema != schemaLine(tag, version))
-        throw CsvError(path + ": schema line is '" + series.schema +
-                       "' but this build writes '" + schemaLine(tag, version) +
-                       "' — the series cannot be continued; move it aside or "
-                       "use a fresh --analysis-dir");
+    checkContinuable(series, path, tag, version, columns, flags);
     const std::string header = joinHeader(columns);
-    std::string existing = "step";
-    for (std::size_t i = 1; i < series.columns.size(); ++i)
-        existing += "," + series.columns[i];
-    if (existing != header)
-        throw CsvError(path + ": column set '" + existing +
-                       "' does not match the configured observers ('" +
-                       header +
-                       "') — pass the same --analysis-observers as the "
-                       "original run");
 
     // Keep rows up to the checkpoint step, drop anything newer: the run
     // being resumed may have sampled past its last checkpoint.
@@ -151,7 +171,6 @@ void CsvWriter::resume(const std::string& path, const std::string& tag,
     if (f_ == nullptr)
         throw CsvError("cannot reopen CSV series " + path + ": " +
                        std::strerror(errno));
-    path_ = path;
     columnCount_ = columns.size();
     lastWrittenStep_ = lastStep;
 }

@@ -36,6 +36,23 @@ public:
     explicit CsvError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// The flags a user changes when an existing series cannot be continued:
+/// \p location points the series elsewhere; \p columns (nullptr when the
+/// build fixes the column set) is the one that configured the columns.
+struct SeriesFlags {
+    const char* location;
+    const char* columns = nullptr;
+};
+
+/// Throw CsvError unless the series at \p path can be continued by a writer
+/// of this schema and column set: a missing file is fine (resume() starts
+/// one); an existing file must carry "# <tag> v<version>" and the header
+/// "step,<columns...>". The message names \p flags.
+void checkSeriesContinuable(const std::string& path, const std::string& tag,
+                            int version,
+                            const std::vector<std::string>& columns,
+                            const SeriesFlags& flags);
+
 class CsvWriter {
 public:
     CsvWriter() = default;
@@ -48,7 +65,6 @@ public:
             close();
             f_ = o.f_;
             o.f_ = nullptr;
-            path_ = std::move(o.path_);
             columnCount_ = o.columnCount_;
             lastWrittenStep_ = o.lastWrittenStep_;
         }
@@ -63,12 +79,13 @@ public:
 
     /// Resume an existing series after a restart from a checkpoint taken at
     /// step \p lastStep (see file comment). A missing file degrades to
-    /// create(); a schema/column mismatch throws CsvError.
+    /// create(); a schema/column mismatch throws the checkSeriesContinuable
+    /// error naming \p flags.
     void resume(const std::string& path, const std::string& tag, int version,
-                const std::vector<std::string>& columns, long long lastStep);
+                const std::vector<std::string>& columns, long long lastStep,
+                const SeriesFlags& flags);
 
     bool isOpen() const { return f_ != nullptr; }
-    const std::string& path() const { return path_; }
 
     /// Append one row (flushed immediately; steps must be increasing).
     void writeRow(long long step, const std::vector<double>& values);
@@ -77,7 +94,6 @@ public:
 
 private:
     std::FILE* f_ = nullptr;
-    std::string path_;
     std::size_t columnCount_ = 0; ///< excluding the leading step column
     long long lastWrittenStep_ = -1;
 };

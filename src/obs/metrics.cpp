@@ -83,7 +83,7 @@ void MetricsRegistry::createCsv(const std::string& path) {
 }
 
 void MetricsRegistry::resumeCsv(const std::string& path, long long lastStep) {
-    csv_.resume(path, kCsvTag, kCsvVersion, columns(), lastStep);
+    csv_.resume(path, kCsvTag, kCsvVersion, columns(), lastStep, kCsvFlags);
 }
 
 void MetricsRegistry::writeCsvRow(long long step) {

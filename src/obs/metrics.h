@@ -68,6 +68,7 @@ class MetricsRegistry {
 public:
     static constexpr const char* kCsvTag = "tpf-metrics";
     static constexpr int kCsvVersion = 1;
+    static constexpr io::SeriesFlags kCsvFlags{"--metrics"};
 
     /// Look up or register an instrument. Registration order defines the
     /// CSV column order; re-registering a name with a different kind is a
@@ -87,7 +88,6 @@ public:
     /// io::CsvWriter::resume). Throws io::CsvError on schema mismatch.
     void resumeCsv(const std::string& path, long long lastStep);
     bool csvOpen() const { return csv_.isOpen(); }
-    const std::string& csvPath() const { return csv_.path(); }
     /// Append the current row() keyed by \p step and flush.
     void writeCsvRow(long long step);
     void closeCsv() { csv_.close(); }

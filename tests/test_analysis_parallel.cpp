@@ -8,94 +8,48 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
-#include <unistd.h>
 
 #include "analysis/gather.h"
 #include "analysis/observers.h"
+#include "app/run.h"
 #include "core/solver.h"
 #include "io/csv_writer.h"
+#include "run_support.h"
 
 namespace tpf {
 namespace {
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-    fs::path path;
-    explicit TempDir(const std::string& tag) {
-        path = fs::temp_directory_path() /
-               ("tpf_analysis_" + tag + "_" + std::to_string(::getpid()));
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-};
-
-std::string readAll(const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-}
-
-/// Window-heavy solidify configuration (same shape as test_restart's): the
-/// solid fill sits far above the trigger so shifts happen during the run,
-/// exercising the window-coordinate path of the observers.
-core::SolverConfig analysisConfig(int ranks, int threads) {
-    core::SolverConfig cfg;
-    cfg.globalCells = {16, 16, 32};
-    if (ranks > 1) cfg.blockSize = {16, 16, 32 / ranks};
-    cfg.threads = threads;
-    cfg.model.temp.gradient = 0.5;
-    cfg.model.temp.velocity = 0.02;
-    cfg.model.temp.zEut0 = 12.0;
-    cfg.init.fillHeight = 26;
-    cfg.window.enabled = true;
-    cfg.window.triggerFraction = 0.2;
-    cfg.window.checkEvery = 8;
-    cfg.overlapMu = true;
-    return cfg;
-}
-
-/// Run the solidify scenario with the full pipeline streaming to \p csv.
-void runWithPipeline(const core::SolverConfig& cfg, int ranks, int steps,
-                     int every, const std::string& csv) {
-    auto body = [&](vmpi::Comm* comm) {
-        core::Solver solver(cfg, comm);
-        analysis::Pipeline pipeline;
-        for (const auto& n : analysis::observerNames())
-            pipeline.add(analysis::makeObserver(n));
-        if (!comm || comm->isRoot()) pipeline.createCsv(csv);
-        pipeline.attach(solver, every);
-        solver.initialize();
-        pipeline.sample(solver, 0);
-        solver.run(steps);
-    };
-    if (ranks == 1)
-        body(nullptr);
-    else
-        vmpi::runParallel(ranks, [&](vmpi::Comm& comm) { body(&comm); });
+/// Run the solidify scenario of test::windowConfig (the window shifts
+/// mid-run, exercising the observers' window-coordinate path) with every
+/// observer sampling every \p every steps into <dir>/analysis.csv.
+std::string runAnalysis(int ranks, int threads, int steps, int every,
+                            const fs::path& dir) {
+    app::RunSpec spec =
+        test::runSpec(test::windowConfig(ranks, threads), ranks, steps, dir);
+    spec.analyzeEvery = every;
+    app::run(spec);
+    return (dir / "analysis.csv").string();
 }
 
 TEST(AnalysisRankInvariance, CsvBitwiseIdenticalAcrossRanksAndThreads) {
-    TempDir dir("invariance");
-    std::string reference;
+    test::TempDir dir("analysis_invariance");
+    std::string reference, referenceCsv;
     double lastWindowOffset = -1.0;
 
     for (const int ranks : {1, 2, 4}) {
         for (const int threads : {1, 4}) {
             SCOPED_TRACE("ranks=" + std::to_string(ranks) +
                          " threads=" + std::to_string(threads));
-            const std::string csv =
-                (dir.path / ("analysis_r" + std::to_string(ranks) + "_t" +
-                             std::to_string(threads) + ".csv"))
-                    .string();
-            runWithPipeline(analysisConfig(ranks, threads), ranks,
-                            /*steps=*/16, /*every=*/4, csv);
+            const std::string csv = runAnalysis(
+                ranks, threads, /*steps=*/16, /*every=*/4,
+                dir.path / ("analysis_r" + std::to_string(ranks) + "_t" +
+                            std::to_string(threads)));
+            if (reference.empty()) referenceCsv = csv;
 
-            const std::string content = readAll(csv);
+            const std::string content = test::readAll(csv);
             ASSERT_FALSE(content.empty());
             if (reference.empty()) {
                 reference = content;
@@ -110,9 +64,7 @@ TEST(AnalysisRankInvariance, CsvBitwiseIdenticalAcrossRanksAndThreads) {
             } else if (content != reference) {
                 // Byte equality is the contract; report the first divergent
                 // cell instead of dumping both files.
-                const std::string ref =
-                    (dir.path / "analysis_r1_t1.csv").string();
-                const io::CsvDiff d = io::compareCsvSeries(ref, csv);
+                const io::CsvDiff d = io::compareCsvSeries(referenceCsv, csv);
                 FAIL() << "analysis series diverged from ranks=1 threads=1: "
                        << d.message;
             }
@@ -123,7 +75,7 @@ TEST(AnalysisRankInvariance, CsvBitwiseIdenticalAcrossRanksAndThreads) {
 TEST(AnalysisGather, AssembledPlanesMatchSerialExtraction) {
     // 2-rank and 4-rank decompositions of a solidified state must assemble
     // exactly the planes the serial sweep extracts.
-    const core::SolverConfig serialCfg = analysisConfig(1, 1);
+    const core::SolverConfig serialCfg = test::windowConfig(1, 1);
     core::Solver serial(serialCfg);
     serial.initialize();
     serial.run(4);
@@ -141,7 +93,7 @@ TEST(AnalysisGather, AssembledPlanesMatchSerialExtraction) {
     for (const int ranks : {2, 4}) {
         SCOPED_TRACE("ranks=" + std::to_string(ranks));
         vmpi::runParallel(ranks, [&](vmpi::Comm& comm) {
-            const core::SolverConfig cfg = analysisConfig(ranks, 1);
+            const core::SolverConfig cfg = test::windowConfig(ranks, 1);
             core::Solver s(cfg, &comm);
             s.initialize();
             s.run(4);
@@ -171,28 +123,6 @@ TEST(AnalysisGather, AssembledPlanesMatchSerialExtraction) {
             }
         });
     }
-}
-
-/// The restart path of the CSV writer used by tpf-sim --restart: rows after
-/// the checkpoint step are dropped, the continuation appends seamlessly.
-TEST(AnalysisRankInvariance, ResumeDropsRowsNewerThanTheCheckpoint) {
-    TempDir dir("resume");
-    const std::string csv = (dir.path / "analysis.csv").string();
-
-    const core::SolverConfig cfg = analysisConfig(1, 1);
-    // Original run: 16 steps sampled every 4 — but suppose its last
-    // checkpoint was at step 8.
-    runWithPipeline(cfg, 1, /*steps=*/16, /*every=*/4, csv);
-    const io::CsvSeries full = io::readCsvSeries(csv);
-    ASSERT_EQ(full.rows.size(), 5u);
-
-    analysis::Pipeline p;
-    for (const auto& n : analysis::observerNames())
-        p.add(analysis::makeObserver(n));
-    p.resumeCsv(csv, /*lastStep=*/8);
-    const io::CsvSeries trimmed = io::readCsvSeries(csv);
-    ASSERT_EQ(trimmed.rows.size(), 3u); // steps 0, 4, 8 kept
-    EXPECT_EQ(trimmed.stepOf(2), 8);
 }
 
 } // namespace

@@ -29,10 +29,11 @@
 #include <string>
 
 #include "analysis/observers.h"
-#include "core/regions.h"
+#include "app/run.h"
 #include "core/solver.h"
 #include "io/checkpoint.h"
 #include "io/csv_writer.h"
+#include "run_support.h"
 
 #ifndef TPF_GOLDEN_DIR
 #error "TPF_GOLDEN_DIR must point at the committed tests/golden directory"
@@ -62,46 +63,36 @@ constexpr int kGoldenSteps = 12;
 /// Time-series cadence: rows at steps 0, 3, 6, 9, 12.
 constexpr int kGoldenAnalyzeEvery = 3;
 
-/// Initialize the pinned scenario (fields + clocks, no steps yet).
-void initScenario(const std::string& name, core::Solver& solver) {
-    if (name == "solidify") {
-        solver.initialize(); // Voronoi-seeded melt, fixed RNG seed
-    } else {
-        const core::Scenario sc = name == "liquid"  ? core::Scenario::Liquid
-                                  : name == "solid" ? core::Scenario::Solid
-                                                    : core::Scenario::Interface;
-        for (auto& b : solver.localBlocks())
-            core::fillScenario(*b, sc, solver.system(),
-                               solver.config().model.eps);
-        solver.restore(/*time=*/0.0, /*windowOffset=*/0.0);
-    }
-}
-
-/// Run the pinned scenario to its checkpoint state.
-void runScenario(const std::string& name, core::Solver& solver) {
-    initScenario(name, solver);
-    solver.run(kGoldenSteps);
+/// The pinned scenario run through the run driver, as tpf-sim runs it:
+/// \p analyzeEvery 0 checkpoints the final state into
+/// <out>/checkpoint_step<kGoldenSteps>, otherwise the full observer pipeline
+/// streams <out>/analysis.csv.
+app::RunSpec runScenario(const std::string& name, const fs::path& out,
+                         int analyzeEvery) {
+    app::RunSpec spec = test::runSpec(goldenConfig(), 1, kGoldenSteps, out);
+    spec.scenario = name;
+    spec.analyzeEvery = analyzeEvery;
+    if (analyzeEvery == 0) spec.checkpointEvery = kGoldenSteps;
+    app::run(spec);
+    return spec;
 }
 
 void checkScenario(const std::string& name) {
     const fs::path goldenDir = fs::path(TPF_GOLDEN_DIR) / name;
-
-    core::Solver solver(goldenConfig());
-    runScenario(name, solver);
+    test::TempDir out("golden_" + name);
+    const fs::path freshDir =
+        test::checkpointDir(runScenario(name, out.path, 0), kGoldenSteps);
 
     if (std::getenv("TPF_REGEN_GOLDENS") != nullptr) {
-        io::saveCheckpoint(goldenDir.string(), solver);
+        fs::create_directories(goldenDir);
+        fs::copy_file(freshDir / "rank_0.tpfchk", goldenDir / "rank_0.tpfchk",
+                      fs::copy_options::overwrite_existing);
         GTEST_SKIP() << "regenerated golden reference " << goldenDir;
     }
 
     ASSERT_TRUE(fs::exists(goldenDir / "rank_0.tpfchk"))
         << "missing committed golden reference " << goldenDir
         << " — run with TPF_REGEN_GOLDENS=1 and commit tests/golden/";
-
-    const fs::path freshDir =
-        fs::temp_directory_path() / ("tpf_golden_" + name);
-    fs::remove_all(freshDir);
-    io::saveCheckpoint(freshDir.string(), solver);
 
     const io::CheckpointDiff d =
         io::compareCheckpoints(goldenDir.string(), freshDir.string());
@@ -112,7 +103,6 @@ void checkScenario(const std::string& name) {
         << "\n  If this change to the numerics is intentional, regenerate "
            "with TPF_REGEN_GOLDENS=1 ./tests/test_golden and commit "
            "tests/golden/.";
-    fs::remove_all(freshDir);
 }
 
 TEST(GoldenRun, Solidify) { checkScenario("solidify"); }
@@ -130,25 +120,16 @@ void checkTimeSeries(const std::string& name) {
     const fs::path goldenCsv =
         fs::path(TPF_GOLDEN_DIR) / name / "analysis.csv";
 
-    core::Solver solver(goldenConfig());
-    analysis::Pipeline pipeline;
-    for (const auto& n : analysis::observerNames())
-        pipeline.add(analysis::makeObserver(n));
+    test::TempDir out("golden_series_" + name);
+    runScenario(name, out.path, kGoldenAnalyzeEvery);
+    const fs::path freshCsv = out.path / "analysis.csv";
 
-    const bool regen = std::getenv("TPF_REGEN_GOLDENS") != nullptr;
-    const fs::path freshCsv =
-        regen ? goldenCsv
-              : fs::temp_directory_path() / ("tpf_golden_series_" + name +
-                                             ".csv");
-    if (!regen) fs::remove(freshCsv);
-
-    pipeline.createCsv(freshCsv.string());
-    pipeline.attach(solver, kGoldenAnalyzeEvery);
-    initScenario(name, solver);
-    pipeline.sample(solver, 0);
-    solver.run(kGoldenSteps);
-
-    if (regen) GTEST_SKIP() << "regenerated golden series " << goldenCsv;
+    if (std::getenv("TPF_REGEN_GOLDENS") != nullptr) {
+        fs::create_directories(goldenCsv.parent_path());
+        fs::copy_file(freshCsv, goldenCsv,
+                      fs::copy_options::overwrite_existing);
+        GTEST_SKIP() << "regenerated golden series " << goldenCsv;
+    }
 
     ASSERT_TRUE(fs::exists(goldenCsv))
         << "missing committed golden series " << goldenCsv
@@ -163,7 +144,6 @@ void checkTimeSeries(const std::string& name) {
         << "\n  If this change to the numerics or the observer set is "
            "intentional, regenerate with TPF_REGEN_GOLDENS=1 "
            "./tests/test_golden and commit tests/golden/.";
-    fs::remove(freshCsv);
 }
 
 TEST(GoldenTimeSeries, Solidify) { checkTimeSeries("solidify"); }
@@ -228,18 +208,17 @@ TEST(GoldenRun, CorruptedReferenceIsCalledOut) {
 /// A genuinely divergent run must be pointed at precisely: field, component
 /// and global cell of the first differing value.
 TEST(GoldenRun, DivergenceIsReportedWithFieldAndCell) {
+    const fs::path a = fs::path(TPF_GOLDEN_DIR) / "interface";
+    if (!fs::exists(a / "rank_0.tpfchk"))
+        GTEST_SKIP() << "goldens not generated yet";
     core::Solver solver(goldenConfig());
-    runScenario("interface", solver);
-
-    const fs::path a = fs::temp_directory_path() / "tpf_golden_diff_a";
-    const fs::path b = fs::temp_directory_path() / "tpf_golden_diff_b";
-    fs::remove_all(a);
-    fs::remove_all(b);
-    io::saveCheckpoint(a.string(), solver);
+    io::loadCheckpoint(a.string(), solver);
     solver.localBlocks().front()->muSrc(5, 6, 7, 1) += 1e-12;
-    io::saveCheckpoint(b.string(), solver);
+    test::TempDir b("golden_diff");
+    io::saveCheckpoint(b.path.string(), solver);
 
-    const io::CheckpointDiff d = io::compareCheckpoints(a.string(), b.string());
+    const io::CheckpointDiff d =
+        io::compareCheckpoints(a.string(), b.path.string());
     EXPECT_FALSE(d.identical);
     EXPECT_TRUE(d.structural.empty()) << d.structural;
     EXPECT_EQ(d.field, "mu");
@@ -248,8 +227,6 @@ TEST(GoldenRun, DivergenceIsReportedWithFieldAndCell) {
     EXPECT_EQ(d.differingValues, 1);
     EXPECT_NE(d.message().find("(5, 6, 7)"), std::string::npos)
         << d.message();
-    fs::remove_all(a);
-    fs::remove_all(b);
 }
 
 } // namespace

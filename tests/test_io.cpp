@@ -383,6 +383,8 @@ TEST(Writers, VtkFieldContainsHeaderAndData) {
 
 // --- CSV time-series writer (the analysis pipeline's output format) ------
 
+const SeriesFlags kSeriesFlags{"--dir", "--columns"};
+
 TEST(CsvWriter, CreateWriteReadRoundTrip) {
     TempDir dir;
     const std::string path = (dir.path / "series.csv").string();
@@ -426,7 +428,7 @@ TEST(CsvWriter, ResumeKeepsRowsUpToTheCheckpointStep) {
         w.writeRow(8, {3.0}); // the run outlived its step-4 checkpoint
     }
     CsvWriter w;
-    w.resume(path, "tpf-analysis", 1, {"v"}, /*lastStep=*/4);
+    w.resume(path, "tpf-analysis", 1, {"v"}, /*lastStep=*/4, kSeriesFlags);
     w.writeRow(8, {30.0}); // the continuation re-samples step 8
     w.close();
 
@@ -445,15 +447,18 @@ TEST(CsvWriter, ResumeRejectsSchemaAndColumnMismatches) {
         w.writeRow(0, {1.0});
     }
     CsvWriter w;
-    EXPECT_THROW(w.resume(path, "tpf-analysis", 2, {"v"}, 0), CsvError);
-    EXPECT_THROW(w.resume(path, "tpf-analysis", 1, {"other"}, 0), CsvError);
+    EXPECT_THROW(w.resume(path, "tpf-analysis", 2, {"v"}, 0, kSeriesFlags),
+                 CsvError);
+    EXPECT_THROW(
+        w.resume(path, "tpf-analysis", 1, {"other"}, 0, kSeriesFlags),
+        CsvError);
 }
 
 TEST(CsvWriter, ResumeOfMissingFileStartsAFreshSeries) {
     TempDir dir;
     const std::string path = (dir.path / "series.csv").string();
     CsvWriter w;
-    w.resume(path, "tpf-analysis", 1, {"v"}, /*lastStep=*/8);
+    w.resume(path, "tpf-analysis", 1, {"v"}, /*lastStep=*/8, kSeriesFlags);
     w.writeRow(12, {1.0});
     w.close();
     const CsvSeries s = readCsvSeries(path);

@@ -13,10 +13,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
-#include <unistd.h>
 
+#include "app/run.h"
 #include "core/solver.h"
 #include "io/checkpoint.h"
 #include "io/csv_writer.h"
@@ -24,23 +23,13 @@
 #include "obs/metrics.h"
 #include "obs/run_obs.h"
 #include "obs/trace.h"
+#include "run_support.h"
 #include "util/thread_pool.h"
 
 namespace tpf {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct TempDir {
-    fs::path path;
-    explicit TempDir(const std::string& tag) {
-        path = fs::temp_directory_path() /
-               ("tpf_obs_" + tag + "_" + std::to_string(::getpid()));
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-};
 
 void writeFile(const fs::path& p, const std::string& content) {
     std::ofstream out(p, std::ios::binary);
@@ -65,7 +54,7 @@ TEST(ObsTrace, ScopedSpansRecordBalancedEventsThroughTheThreadSink) {
 }
 
 TEST(ObsTrace, MergedChromeTraceIsValidJsonWithOneRankPerBlob) {
-    TempDir dir("trace");
+    test::TempDir dir("obs_trace");
     const std::string path = (dir.path / "trace.json").string();
 
     obs::Trace r0;
@@ -99,7 +88,7 @@ TEST(ObsTrace, SerializeAssertsOnOpenSpansViaBalanceStack) {
 }
 
 TEST(ObsTrace, ValidatorRejectsMalformedUnbalancedAndNonMonotonic) {
-    TempDir dir("validate");
+    test::TempDir dir("obs_validate");
 
     const fs::path bad = dir.path / "bad.json";
     writeFile(bad, "{\"traceEvents\":[");
@@ -145,7 +134,7 @@ TEST(ObsMetrics, RegistrationOrderDefinesColumnsAndHistogramsExpand) {
 }
 
 TEST(ObsMetrics, CsvCarriesSchemaLineAndRoundTripsDoublesExactly) {
-    TempDir dir("csv");
+    test::TempDir dir("obs_csv");
     const std::string path = (dir.path / "metrics.csv").string();
     const double v = 0.1 + 0.2; // 0.30000000000000004
 
@@ -168,38 +157,8 @@ TEST(ObsMetrics, CsvCarriesSchemaLineAndRoundTripsDoublesExactly) {
     EXPECT_EQ(std::stod(s.rows[1][1]), 1.0 / 3.0) << s.rows[1][1];
 }
 
-TEST(ObsMetrics, ResumeDropsRowsNewerThanTheCheckpointStep) {
-    TempDir dir("resume");
-    const std::string path = (dir.path / "metrics.csv").string();
-
-    {
-        obs::MetricsRegistry r;
-        r.gauge("v");
-        r.createCsv(path);
-        for (long long step : {0, 5, 10, 15, 20}) {
-            r.gauge("v").set(static_cast<double>(step));
-            r.writeCsvRow(step);
-        }
-        r.closeCsv();
-    }
-
-    // Restart from a checkpoint at step 10: rows 15 and 20 must vanish and
-    // the continuation appends seamlessly.
-    obs::MetricsRegistry r;
-    r.gauge("v");
-    r.resumeCsv(path, /*lastStep=*/10);
-    r.gauge("v").set(15.0);
-    r.writeCsvRow(15);
-    r.closeCsv();
-
-    const io::CsvSeries s = io::readCsvSeries(path);
-    ASSERT_EQ(s.rows.size(), 4u); // 0, 5, 10 kept + 15 appended
-    EXPECT_EQ(s.stepOf(2), 10);
-    EXPECT_EQ(s.stepOf(3), 15);
-}
-
 TEST(ObsMetrics, ResumeRejectsAForeignSchema) {
-    TempDir dir("schema");
+    test::TempDir dir("obs_schema");
     const std::string path = (dir.path / "metrics.csv").string();
     {
         io::CsvWriter w;
@@ -234,55 +193,8 @@ TEST(ObsFanout, ParallelForReportsIntoTheInstalledSink) {
 
 // --- The non-perturbation contract ------------------------------------------
 
-/// Window-heavy solidify configuration (the test_restart shape): shifts
-/// happen during the run, so the window/exchange/fan-out telemetry paths are
-/// all live while the checkpoints are compared.
-core::SolverConfig obsConfig(int ranks, int threads) {
-    core::SolverConfig cfg;
-    cfg.globalCells = {16, 16, 32};
-    if (ranks > 1) cfg.blockSize = {16, 16, 32 / ranks};
-    cfg.threads = threads;
-    cfg.model.temp.gradient = 0.5;
-    cfg.model.temp.velocity = 0.02;
-    cfg.model.temp.zEut0 = 12.0;
-    cfg.init.fillHeight = 26;
-    cfg.window.enabled = true;
-    cfg.window.triggerFraction = 0.2;
-    cfg.window.checkEvery = 8;
-    cfg.overlapMu = true;
-    return cfg;
-}
-
-/// Run \p steps of the solidify scenario, checkpoint into \p chkDir. With
-/// \p obsOn, the full telemetry stack rides along exactly as tpf-sim wires
-/// it: trace + metrics + fan-out sinks, sampling hook, post-run merge.
-void runMaybeInstrumented(const core::SolverConfig& cfg, int ranks, int steps,
-                          bool obsOn, const std::string& chkDir,
-                          const std::string& tracePath,
-                          const std::string& metricsPath) {
-    auto body = [&](vmpi::Comm* comm) {
-        core::Solver solver(cfg, comm);
-        std::unique_ptr<obs::RunObs> ro;
-        if (obsOn) {
-            ro = std::make_unique<obs::RunObs>(
-                obs::RunObsOptions{tracePath, metricsPath, /*every=*/4});
-            if (!comm || comm->isRoot())
-                ro->openMetricsCsv(/*restart=*/false, 0);
-        }
-        solver.initialize();
-        if (ro) ro->attach(solver);
-        solver.run(steps);
-        if (ro) ro->finish(solver);
-        io::saveCheckpoint(chkDir, solver);
-    };
-    if (ranks == 1)
-        body(nullptr);
-    else
-        vmpi::runParallel(ranks, [&](vmpi::Comm& comm) { body(&comm); });
-}
-
 TEST(ObsNonPerturbation, CheckpointBitwiseIdenticalWithTelemetryOn) {
-    TempDir dir("nonperturb");
+    test::TempDir dir("obs_nonperturb");
     const int steps = 8;
 
     for (const int ranks : {1, 2}) {
@@ -294,19 +206,28 @@ TEST(ObsNonPerturbation, CheckpointBitwiseIdenticalWithTelemetryOn) {
             // Uninstrumented reference at the same decomposition (the
             // checkpoint layout is per-rank; cross-rank invariance is the
             // other suites' contract — this one pins obs-on == obs-off).
-            const std::string ref = (dir.path / ("ref_" + tag)).string();
-            runMaybeInstrumented(obsConfig(ranks, threads), ranks, steps,
-                                 /*obsOn=*/false, ref, "", "");
-            const std::string chk = (dir.path / ("chk_" + tag)).string();
+            app::RunSpec spec = test::runSpec(
+                test::windowConfig(ranks, threads), ranks, steps,
+                dir.path / ("ref_" + tag));
+            spec.checkpointEvery = steps;
+            app::run(spec);
+            const fs::path ref = test::checkpointDir(spec, steps);
+
+            // The full telemetry stack rides along: trace + metrics +
+            // fan-out sinks, sampling hook, post-run merge.
+            spec.outdir = (dir.path / ("obs_" + tag)).string();
             const std::string trace =
                 (dir.path / ("trace_" + tag + ".json")).string();
             const std::string metrics =
                 (dir.path / ("metrics_" + tag + ".csv")).string();
+            spec.tracePath = trace;
+            spec.metricsPath = metrics;
+            spec.metricsEvery = 4;
+            app::run(spec);
+            const fs::path chk = test::checkpointDir(spec, steps);
 
-            runMaybeInstrumented(obsConfig(ranks, threads), ranks, steps,
-                                 /*obsOn=*/true, chk, trace, metrics);
-
-            const io::CheckpointDiff d = io::compareCheckpoints(ref, chk);
+            const io::CheckpointDiff d =
+                io::compareCheckpoints(ref.string(), chk.string());
             EXPECT_TRUE(d.identical)
                 << "telemetry perturbed the run: " << d.message();
 
@@ -333,7 +254,7 @@ TEST(ObsNonPerturbation, CheckpointBitwiseIdenticalWithTelemetryOn) {
 TEST(ObsTimingStats, GatherFillsCrossRankLoadFigures) {
     // Single rank: avg == max == the rank's own total, spike from timings.
     {
-        core::Solver solver(obsConfig(1, 1));
+        core::Solver solver(test::windowConfig(1, 1));
         solver.initialize();
         solver.run(2);
         const auto stats = obs::gatherTimingStats(solver);
@@ -354,7 +275,7 @@ TEST(ObsTimingStats, GatherFillsCrossRankLoadFigures) {
     // Two ranks: the collective fills avg/max on the root; the imbalance
     // figure max/avg is finite and >= 1.
     vmpi::runParallel(2, [&](vmpi::Comm& comm) {
-        core::Solver solver(obsConfig(2, 1), &comm);
+        core::Solver solver(test::windowConfig(2, 1), &comm);
         solver.initialize();
         solver.run(2);
         const auto stats = obs::gatherTimingStats(solver);

@@ -9,118 +9,54 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <functional>
 #include <string>
-#include <unistd.h>
 
-#include "analysis/observers.h"
+#include "app/run.h"
 #include "core/solver.h"
 #include "io/checkpoint.h"
 #include "io/csv_writer.h"
+#include "run_support.h"
 
 namespace tpf {
 namespace {
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-    fs::path path;
-    explicit TempDir(const std::string& tag) {
-        path = fs::temp_directory_path() / ("tpf_restart_" + tag + "_" +
-                                            std::to_string(::getpid()));
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-};
-
-/// Window-heavy configuration: the solid fill starts far above the window
-/// trigger, so the capped shift loop (at most NZ/4 cells per check) drains
-/// it across several window checks — some before step N, some after — which
-/// makes the restarted run replay shifts it did not itself initiate.
-core::SolverConfig windowConfig(int ranks, int threads) {
-    core::SolverConfig cfg;
-    cfg.globalCells = {16, 16, 32};
-    if (ranks > 1) cfg.blockSize = {16, 16, 32 / ranks};
-    cfg.threads = threads;
-    cfg.model.temp.gradient = 0.5;
-    cfg.model.temp.velocity = 0.02;
-    cfg.model.temp.zEut0 = 12.0;
-    cfg.init.fillHeight = 26;
-    cfg.window.enabled = true;
-    cfg.window.triggerFraction = 0.2; // trigger z = 6.4
-    cfg.window.checkEvery = 8;
-    cfg.overlapMu = true; // the paper's production communication hiding
-    return cfg;
-}
-
-std::string readAll(const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-}
-
-/// Run the straight 2N-step reference and the N + restart + N split run with
-/// identical configuration; both final checkpoints land in \p dir.
-void runStraightAndSplit(const core::SolverConfig& cfg, int ranks, int steps2N,
-                         const std::string& straightDir,
-                         const std::string& midDir,
-                         const std::string& splitDir,
-                         double* windowOffsetAtMid,
-                         double* windowOffsetAtEnd) {
-    const int stepsN = steps2N / 2;
-    auto body = [&](vmpi::Comm* comm) {
-        // Straight reference: 2N uninterrupted steps.
-        core::Solver a(cfg, comm);
-        a.initialize();
-        a.run(steps2N);
-        io::saveCheckpoint(straightDir, a);
-        if (!comm || comm->isRoot())
-            *windowOffsetAtEnd = a.windowOffsetCells();
-
-        // Split run: N steps, checkpoint, fresh solver restarts, N more.
-        core::Solver b(cfg, comm);
-        b.initialize();
-        b.run(stepsN);
-        io::saveCheckpoint(midDir, b);
-        if (!comm || comm->isRoot())
-            *windowOffsetAtMid = b.windowOffsetCells();
-
-        core::Solver c(cfg, comm);
-        io::loadCheckpoint(midDir, c);
-        c.run(steps2N - stepsN);
-        io::saveCheckpoint(splitDir, c);
-    };
-    if (ranks == 1)
-        body(nullptr);
-    else
-        vmpi::runParallel(ranks, [&](vmpi::Comm& comm) { body(&comm); });
-}
-
 TEST(RestartEquivalence, SplitRunMatchesStraightRunBitwise) {
+    constexpr int kStepsN = 12;
     for (const int ranks : {1, 2, 4}) {
         for (const int threads : {1, 4}) {
             SCOPED_TRACE("ranks=" + std::to_string(ranks) +
                          " threads=" + std::to_string(threads));
-            TempDir dir("eq_r" + std::to_string(ranks) + "_t" +
-                        std::to_string(threads));
-            const std::string straight = (dir.path / "straight").string();
-            const std::string mid = (dir.path / "mid").string();
-            const std::string split = (dir.path / "split").string();
+            test::TempDir dir("restart_eq_r" + std::to_string(ranks) + "_t" +
+                              std::to_string(threads));
+            const core::SolverConfig cfg = test::windowConfig(ranks, threads);
 
-            const core::SolverConfig cfg = windowConfig(ranks, threads);
-            double offMid = -1.0, offEnd = -1.0;
-            runStraightAndSplit(cfg, ranks, /*steps2N=*/24, straight, mid,
-                                split, &offMid, &offEnd);
+            // Straight reference: 2N uninterrupted steps.
+            app::RunSpec straight =
+                test::runSpec(cfg, ranks, 2 * kStepsN, dir.path / "straight");
+            straight.checkpointEvery = 2 * kStepsN;
+            const double offEnd = app::run(straight).windowOffset;
+
+            // Split run: N steps and a checkpoint, then a restarted run of N
+            // more from it.
+            app::RunSpec split =
+                test::runSpec(cfg, ranks, kStepsN, dir.path / "split");
+            split.checkpointEvery = kStepsN;
+            const double offMid = app::run(split).windowOffset;
+            split.restart = test::checkpointDir(split, kStepsN).string();
+            app::run(split);
 
             // The scenario must actually exercise the window on both sides
             // of the restart, otherwise this test proves nothing.
             EXPECT_GT(offMid, 0.0) << "no window shift before the restart";
             EXPECT_GT(offEnd, offMid) << "no window shift after the restart";
 
+            const fs::path a = test::checkpointDir(straight, 2 * kStepsN);
+            const fs::path b = test::checkpointDir(split, 2 * kStepsN);
             const io::CheckpointDiff d =
-                io::compareCheckpoints(straight, split);
+                io::compareCheckpoints(a.string(), b.string());
             EXPECT_TRUE(d.identical) << d.message();
 
             // Stronger than field equality: the files (headers, clocks,
@@ -128,8 +64,7 @@ TEST(RestartEquivalence, SplitRunMatchesStraightRunBitwise) {
             for (int r = 0; r < ranks; ++r) {
                 const std::string name =
                     "rank_" + std::to_string(r) + ".tpfchk";
-                EXPECT_EQ(readAll(fs::path(straight) / name),
-                          readAll(fs::path(split) / name))
+                EXPECT_EQ(test::readAll(a / name), test::readAll(b / name))
                     << "rank file " << name << " differs";
             }
         }
@@ -139,10 +74,11 @@ TEST(RestartEquivalence, SplitRunMatchesStraightRunBitwise) {
 TEST(RestartEquivalence, WindowStateSurvivesRoundTrip) {
     for (const int ranks : {1, 2, 4}) {
         SCOPED_TRACE("ranks=" + std::to_string(ranks));
-        TempDir dir("win_r" + std::to_string(ranks));
+        test::TempDir dir("restart_win_r" + std::to_string(ranks));
         const std::string chk = (dir.path / "chk").string();
 
-        const core::SolverConfig cfg = windowConfig(ranks, /*threads=*/1);
+        const core::SolverConfig cfg =
+            test::windowConfig(ranks, /*threads=*/1);
         double savedOffset = -1.0;
         int savedFront = -1;
         long long savedSteps = -1;
@@ -189,74 +125,51 @@ TEST(RestartEquivalence, WindowStateSurvivesRoundTrip) {
 TEST(RestartEquivalence, AnalysisSeriesContinuesAcrossRestart) {
     for (const int ranks : {1, 2}) {
         SCOPED_TRACE("ranks=" + std::to_string(ranks));
-        TempDir dir("series_r" + std::to_string(ranks));
-        const std::string straightCsv = (dir.path / "straight.csv").string();
-        const std::string splitCsv = (dir.path / "split.csv").string();
-        const std::string mid = (dir.path / "mid").string();
-
-        const core::SolverConfig cfg = windowConfig(ranks, /*threads=*/1);
-        constexpr int kEvery = 4;
+        test::TempDir dir("restart_series_r" + std::to_string(ranks));
+        const core::SolverConfig cfg = test::windowConfig(ranks, 1);
         constexpr int kStepsN = 12;
 
-        auto makePipeline = [] {
-            analysis::Pipeline p;
-            for (const auto& n : analysis::observerNames())
-                p.add(analysis::makeObserver(n));
-            return p;
-        };
+        // Straight reference: 2N uninterrupted steps, one series.
+        app::RunSpec straight =
+            test::runSpec(cfg, ranks, 2 * kStepsN, dir.path / "straight");
+        straight.analyzeEvery = 4;
+        app::run(straight);
 
-        auto body = [&](vmpi::Comm* comm) {
-            const bool isRoot = !comm || comm->isRoot();
+        // Split run: N steps into the same kind of series with a
+        // checkpoint, then a restarted run continues both.
+        app::RunSpec split =
+            test::runSpec(cfg, ranks, kStepsN, dir.path / "split");
+        split.analyzeEvery = 4;
+        split.checkpointEvery = kStepsN;
+        app::run(split);
+        split.restart = test::checkpointDir(split, kStepsN).string();
+        app::run(split);
 
-            // Straight reference: 2N uninterrupted steps, one series.
-            core::Solver a(cfg, comm);
-            analysis::Pipeline pa = makePipeline();
-            if (isRoot) pa.createCsv(straightCsv);
-            pa.attach(a, kEvery);
-            a.initialize();
-            pa.sample(a, 0);
-            a.run(2 * kStepsN);
-
-            // Split run: N steps into the same kind of series, checkpoint,
-            // then a fresh solver + pipeline resumes both.
-            core::Solver b(cfg, comm);
-            analysis::Pipeline pb = makePipeline();
-            if (isRoot) pb.createCsv(splitCsv);
-            pb.attach(b, kEvery);
-            b.initialize();
-            pb.sample(b, 0);
-            b.run(kStepsN);
-            io::saveCheckpoint(mid, b);
-
-            core::Solver c(cfg, comm);
-            io::loadCheckpoint(mid, c);
-            analysis::Pipeline pc = makePipeline();
-            if (isRoot) pc.resumeCsv(splitCsv, c.stepsDone());
-            pc.attach(c, kEvery);
-            c.run(kStepsN);
-        };
-        if (ranks == 1)
-            body(nullptr);
-        else
-            vmpi::runParallel(ranks, [&](vmpi::Comm& comm) { body(&comm); });
-
-        const io::CsvSeries straight = io::readCsvSeries(straightCsv);
-        ASSERT_EQ(straight.rows.size(), 7u); // steps 0,4,...,24
-        EXPECT_GT(std::stod(straight.rows.back()[2]), 0.0)
+        const std::string straightCsv =
+            (dir.path / "straight" / "analysis.csv").string();
+        const std::string splitCsv =
+            (dir.path / "split" / "analysis.csv").string();
+        const io::CsvSeries series = io::readCsvSeries(straightCsv);
+        ASSERT_EQ(series.rows.size(), 7u); // steps 0,4,...,24
+        EXPECT_GT(std::stod(series.rows.back()[2]), 0.0)
             << "no window shift during the run — the scenario is too tame";
 
-        EXPECT_EQ(readAll(straightCsv), readAll(splitCsv))
+        EXPECT_EQ(test::readAll(straightCsv), test::readAll(splitCsv))
             << io::compareCsvSeries(straightCsv, splitCsv).message;
     }
 }
 
-/// A rank whose file is missing must not leave the other ranks hanging in
-/// the restore's collective ghost exchange: every rank detects the failure
-/// via the load's status agreement and throws. runParallel then joins all
-/// ranks and rethrows — the fact that this test *returns* (instead of
-/// timing out) is the regression check for the collective-hang bug.
-TEST(RestartEquivalence, MissingRankFileAbortsAllRanks) {
-    TempDir dir("missing");
+/// A damaged rank file must not leave the other ranks hanging in the
+/// restore's collective ghost exchange: every rank detects the failure via
+/// the load's status agreement and throws. runParallel then joins all ranks
+/// and rethrows — the fact that this test *returns* (instead of timing out)
+/// is the regression check for the collective-hang bug. Depending on which
+/// rank's exception is rethrown first, the text is either the local
+/// \p diagnosis or the collective notification.
+void expectDamagedRankFileAbortsAllRanks(
+    const std::string& tag, const std::function<void(const fs::path&)>& damage,
+    const std::string& diagnosis) {
+    test::TempDir dir(tag);
     const std::string chk = (dir.path / "chk").string();
 
     core::SolverConfig cfg;
@@ -270,56 +183,34 @@ TEST(RestartEquivalence, MissingRankFileAbortsAllRanks) {
         s.initialize();
         io::saveCheckpoint(chk, s);
     });
-    fs::remove(fs::path(chk) / "rank_1.tpfchk");
+    damage(fs::path(chk) / "rank_1.tpfchk");
 
     try {
         vmpi::runParallel(2, [&](vmpi::Comm& comm) {
             core::Solver s(cfg, &comm);
             io::loadCheckpoint(chk, s);
-            FAIL() << "load with a missing rank file must throw on all ranks";
+            FAIL() << "a damaged rank file must abort the load on all ranks";
         });
         FAIL() << "runParallel must rethrow the collective CheckpointError";
     } catch (const io::CheckpointError& e) {
         const std::string what = e.what();
-        // Depending on which rank's exception is rethrown first, the text is
-        // either the local diagnosis or the collective notification.
-        EXPECT_TRUE(what.find("cannot open") != std::string::npos ||
+        EXPECT_TRUE(what.find(diagnosis) != std::string::npos ||
                     what.find("another rank") != std::string::npos)
             << what;
     }
 }
 
+TEST(RestartEquivalence, MissingRankFileAbortsAllRanks) {
+    expectDamagedRankFileAbortsAllRanks(
+        "restart_missing", [](const fs::path& f) { fs::remove(f); },
+        "cannot open");
+}
+
 TEST(RestartEquivalence, TruncatedRankFileAbortsAllRanks) {
-    TempDir dir("truncated");
-    const std::string chk = (dir.path / "chk").string();
-
-    core::SolverConfig cfg;
-    cfg.globalCells = {16, 16, 24};
-    cfg.blockSize = {16, 16, 12};
-    cfg.init.fillHeight = 8;
-    cfg.model.temp.zEut0 = 10.0;
-
-    vmpi::runParallel(2, [&](vmpi::Comm& comm) {
-        core::Solver s(cfg, &comm);
-        s.initialize();
-        io::saveCheckpoint(chk, s);
-    });
-    const fs::path f1 = fs::path(chk) / "rank_1.tpfchk";
-    fs::resize_file(f1, fs::file_size(f1) / 3);
-
-    try {
-        vmpi::runParallel(2, [&](vmpi::Comm& comm) {
-            core::Solver s(cfg, &comm);
-            io::loadCheckpoint(chk, s);
-            FAIL() << "truncated rank file must abort the load on all ranks";
-        });
-        FAIL() << "runParallel must rethrow the collective CheckpointError";
-    } catch (const io::CheckpointError& e) {
-        const std::string what = e.what();
-        EXPECT_TRUE(what.find("truncated") != std::string::npos ||
-                    what.find("another rank") != std::string::npos)
-            << what;
-    }
+    expectDamagedRankFileAbortsAllRanks(
+        "restart_truncated",
+        [](const fs::path& f) { fs::resize_file(f, fs::file_size(f) / 3); },
+        "truncated");
 }
 
 } // namespace

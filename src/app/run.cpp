@@ -412,13 +412,21 @@ std::optional<RunSpec::Rejection> RunSpec::validate() const {
           {"--mesh", meshEvery}, {"--metrics-every", metricsEvery}})
         if (every < 0) return reject(2, std::string(flag) + " must be >= 0");
 
+    // --transport, else $TPF_TRANSPORT, which only multi-rank runs resolve;
+    // checked here so a bad value exits 2 instead of aborting in
+    // vmpi::defaultTransport().
+    const bool fromEnv = transport.empty() && ranks > 1;
+    const std::string tname =
+        fromEnv ? vmpi::transportFromEnvironment() : transport;
+    const std::string tsource = fromEnv ? "$TPF_TRANSPORT" : "--transport";
     vmpi::TransportKind kind = vmpi::TransportKind::Thread;
-    if (!transport.empty()) {
-        if (!vmpi::parseTransportName(transport, kind))
-            return reject(2, "unknown --transport '" + transport +
+    if (!tname.empty()) {
+        if (!vmpi::parseTransportName(tname, kind))
+            return reject(2, "unknown " + tsource + " '" + tname +
                                  "' (thread, shm, mpi)");
         if (!vmpi::transportCompiledIn(kind))
-            return reject(2, "--transport mpi requires a TPF_WITH_MPI=ON build");
+            return reject(2, tsource +
+                                 " mpi requires a TPF_WITH_MPI=ON build");
     }
 
     if (analyzeEvery > 0) {

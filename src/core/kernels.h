@@ -21,7 +21,11 @@
 ///
 ///  mu kernels mirror the same stages with four-cell vectorization (the only
 ///  viable strategy for the mu-sweep, as in the paper); SimdTzStagCut is the
-///  production mu-sweep.
+///  production mu-sweep. Its shortcuts: a face group that is liquid-free or
+///  pure liquid on both sides skips the anti-trapping current, and pure-
+///  liquid face and cell groups take per-sweep mobility, sources and
+///  susceptibility (the bulk-liquid path), bitwise equal to SimdTzStag
+///  (docs/KERNELS.md, "Exact shortcuts").
 ///
 /// All variants are checked for equivalence by tests/test_phi_kernels.cpp and
 /// tests/test_mu_kernels.cpp.

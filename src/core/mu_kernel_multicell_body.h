@@ -6,11 +6,26 @@
 /// phi_kernel_cellwise_body.h for the linkage rationale and the prerequisite
 /// includes.
 ///
+/// Exact shortcuts (`shortcuts`, the SimdTzStagCut variant): a face group
+/// that is liquid-free or pure liquid on both sides skips the anti-trapping
+/// current, and the bulk-liquid path takes pure-liquid groups off the
+/// general expressions. A face group whose two cells are pure liquid in
+/// every lane uses a per-sweep mobility, and a cell group that is pure
+/// liquid in phiSrc and phiDst uses per-sweep sources and susceptibility,
+/// skipping both weight sets, the source loop and all three divisions. The
+/// constants are the general expressions evaluated on phi = (0, 0, 0, 1),
+/// bitwise what they give on any pure-liquid group (BulkLiquid states why),
+/// so shortcut and plain sweeps agree byte for byte (MuShortcutLockdown in
+/// tests/test_mu_kernels.cpp). On the solidify state most cells are pure
+/// liquid; a solid or interface group pays two loads, two compares and one
+/// mask test.
+///
 /// Remainder handling for nx % V::width != 0 (still requiring nx % 4 == 0 and
 /// nx >= V::width): the last x-group starts at nx - width, overlapping the
 /// previous group. All face fluxes are lane-wise functions of the unmodified
 /// inputs (phiSrc, phiDst, muSrc) — the per-group early-outs (mask `none()` /
-/// shortcut `all()`) only skip work whose masked contribution is +0.0 — so a
+/// shortcut `all()`) only skip work whose masked contribution is +0.0, and
+/// the bulk-liquid constants are bitwise the general result — so a
 /// recomputed face is bitwise what the buffered sweep stored. The staggered
 /// y-row/z-plane carries at overlapped positions were already overwritten by
 /// the previous group of the same row, so the tail group recomputes its fym /
@@ -22,17 +37,25 @@ inline void loadPhaseW(const Field<double>& f, int x, int y, int z, V out[N]) {
     for (int a = 0; a < N; ++a) out[a] = V::loadu(f.ptr(x, y, z, a));
 }
 
-/// M(phi) grad mu at V::width consecutive faces.
-inline void gradFluxW(const ModelConsts& mc, const V pL[N], const V pR[N],
-                      V muLx, V muLy, V muRx, V muRy, V& Fx, V& Fy) {
+/// Mobility M(phi) = sum_a phi_a D_a K_a^-1 (components A, B, D) at
+/// V::width consecutive faces.
+inline void faceMobilityW(const ModelConsts& mc, const V pL[N], const V pR[N],
+                          V& mA, V& mB, V& mD) {
     const V half = V::broadcast(0.5);
-    V mA = V::zero(), mB = V::zero(), mD = V::zero();
+    mA = V::zero();
+    mB = V::zero();
+    mD = V::zero();
     for (int a = 0; a < N; ++a) {
         const V pf = half * (pL[a] + pR[a]) * V::broadcast(mc.Dphase[a]);
         mA += pf * V::broadcast(mc.kinvA[a]);
         mB += pf * V::broadcast(mc.kinvB[a]);
         mD += pf * V::broadcast(mc.kinvD[a]);
     }
+}
+
+/// M grad mu at V::width consecutive faces of mobility (mA, mB, mD).
+inline void gradFluxW(const ModelConsts& mc, V mA, V mB, V mD, V muLx, V muLy,
+                      V muRx, V muRy, V& Fx, V& Fy) {
     const V invDx = V::broadcast(mc.invDx);
     const V gx = (muRx - muLx) * invDx;
     const V gy = (muRy - muLy) * invDx;
@@ -139,16 +162,61 @@ inline void faceGradsW(const ModelConsts& mc, const Field<double>& P, int axis,
     }
 }
 
-/// Full flux (M grad mu - J_at) at V::width consecutive faces with lower
-/// cells at (x, y, z) along \p axis.
-inline void muFaceW(const ModelConsts& mc, const Field<double>& P,
-                    const Field<double>& Pd, const Field<double>& Mu,
-                    const SliceThermo& stL, const SliceThermo& stR, int axis,
-                    int x, int y, int z, bool shortcut, V& Fx, V& Fy) {
-    static constexpr int ex[3] = {1, 0, 0};
-    static constexpr int ey[3] = {0, 1, 0};
-    static constexpr int ez[3] = {0, 0, 1};
-    const int xR = x + ex[axis], yR = y + ey[axis], zR = z + ez[axis];
+/// Sources src1 + src2 and susceptibility of V::width cells.
+struct CellCoeffs {
+    V srcX, srcY;               ///< src1 + src2
+    V chiA, chiB, chiD, invDet; ///< susceptibility and 1 / det
+};
+
+/// Per-sweep constants of the bulk-liquid fast path: the face mobility and
+/// the cell sources / susceptibility, evaluated by the general expressions
+/// on phi = (0, 0, 0, 1). Bitwise what those expressions give on any
+/// pure-liquid face or cell, whatever mu and T:
+///  - a zero phase only adds +-0 terms, and an accumulator seeded with +0
+///    stays +0 under them (+0 + -0 = +0), so each sum is +0 + (liquid term),
+///    the last one added (LIQ == N - 1), computed from the same operands;
+///  - the Moelans weights are exactly (0, 0, 0, 1) on both sides (the square
+///    drops the sign of a zero), so dh = +0 and every src1 term cax * dh is
+///    a zero: src1 = +0 for any finite mu and xi(T).
+struct BulkLiquid {
+    V mA, mB, mD;    ///< face mobility
+    CellCoeffs cell; ///< sources and susceptibility of a cell
+};
+static_assert(LIQ == N - 1, "the BulkLiquid exactness argument adds the "
+                            "liquid term last");
+
+/// True if every lane of the V::width cells at (xa, ya, za) of \p fa and at
+/// (xb, yb, zb) of \p fb is pure liquid: phi = (0, 0, 0, 1) up to the sign
+/// of the zeros, the state BulkLiquid was computed on. The cheap
+/// phi_LIQ == 1 test comes first, so a solid or interface group pays two
+/// loads, two compares and one mask test.
+inline bool pureLiquidW(const Field<double>& fa, int xa, int ya, int za,
+                        const Field<double>& fb, int xb, int yb, int zb) {
+    const V one = V::broadcast(1.0);
+    if (!((V::loadu(fa.ptr(xa, ya, za, LIQ)) == one) &
+          (V::loadu(fb.ptr(xb, yb, zb, LIQ)) == one))
+             .all())
+        return false;
+    const V zero = V::zero();
+    auto m = (V::loadu(fa.ptr(xa, ya, za, 0)) == zero) &
+             (V::loadu(fb.ptr(xb, yb, zb, 0)) == zero);
+    for (int a = 1; a < LIQ; ++a)
+        m = m & (V::loadu(fa.ptr(xa, ya, za, a)) == zero) &
+            (V::loadu(fb.ptr(xb, yb, zb, a)) == zero);
+    return m.all();
+}
+
+/// muFaceW of a group that is not all pure liquid. Kept out of line, so the
+/// bulk-liquid test and flux inline into the sweep loop.
+template <int axis>
+[[gnu::noinline]] void muFaceGeneralW(const ModelConsts& mc,
+                                      const Field<double>& P,
+                                      const Field<double>& Pd,
+                                      const Field<double>& Mu,
+                                      const SliceThermo& stL,
+                                      const SliceThermo& stR, int x, int y,
+                                      int z, bool shortcut, V& Fx, V& Fy) {
+    const int xR = x + (axis == 0), yR = y + (axis == 1), zR = z + (axis == 2);
 
     V pL[N], pR[N];
     loadPhaseW(P, x, y, z, pL);
@@ -159,7 +227,9 @@ inline void muFaceW(const ModelConsts& mc, const Field<double>& P,
     const V muRx = V::loadu(Mu.ptr(xR, yR, zR, 0));
     const V muRy = V::loadu(Mu.ptr(xR, yR, zR, 1));
 
-    gradFluxW(mc, pL, pR, muLx, muLy, muRx, muRy, Fx, Fy);
+    V mA, mB, mD;
+    faceMobilityW(mc, pL, pR, mA, mB, mD);
+    gradFluxW(mc, mA, mB, mD, muLx, muLy, muRx, muRy, Fx, Fy);
 
     if (mc.antitrapping) {
         if (shortcut) {
@@ -190,30 +260,39 @@ inline void muFaceW(const ModelConsts& mc, const Field<double>& P,
     }
 }
 
-/// Interpolation weights h_a = phi_a^2 / sum_b phi_b^2 of V::width
-/// consecutive cells starting at (x, y, z).
-inline void moelansWeightsW(const Field<double>& f, int x, int y, int z,
-                            V h[N]) {
-    V p[N];
-    loadPhaseW(f, x, y, z, p);
+/// Full flux (M grad mu - J_at) at V::width consecutive faces with lower
+/// cells at (x, y, z) along \p axis. \p cut enables the exact shortcuts
+/// (nullptr: none): a pure-liquid group takes its mobility from \p cut,
+/// and a group whose faces are all liquid-free or all pure liquid on both
+/// sides carries no anti-trapping flux.
+template <int axis>
+inline void muFaceW(const ModelConsts& mc, const Field<double>& P,
+                    const Field<double>& Pd, const Field<double>& Mu,
+                    const SliceThermo& stL, const SliceThermo& stR, int x,
+                    int y, int z, const BulkLiquid* cut, V& Fx, V& Fy) {
+    const int xR = x + (axis == 0), yR = y + (axis == 1), zR = z + (axis == 2);
+    if (cut != nullptr && pureLiquidW(P, x, y, z, P, xR, yR, zR)) {
+        gradFluxW(mc, cut->mA, cut->mB, cut->mD, V::loadu(Mu.ptr(x, y, z, 0)),
+                  V::loadu(Mu.ptr(x, y, z, 1)),
+                  V::loadu(Mu.ptr(xR, yR, zR, 0)),
+                  V::loadu(Mu.ptr(xR, yR, zR, 1)), Fx, Fy);
+        return;
+    }
+    muFaceGeneralW<axis>(mc, P, Pd, Mu, stL, stR, x, y, z, cut != nullptr, Fx,
+                         Fy);
+}
+
+/// Interpolation weights h_a = phi_a^2 / sum_b phi_b^2 of V::width cells.
+inline void moelansWeightsW(const V p[N], V h[N]) {
     const V s2 = ((p[0] * p[0] + p[1] * p[1]) + (p[2] * p[2] + p[3] * p[3]));
     const V inv = V::broadcast(1.0) / s2;
     for (int a = 0; a < N; ++a) h[a] = p[a] * p[a] * inv;
 }
 
-/// Sources, susceptibility solve and update for V::width consecutive cells.
-inline void cellFinishW(const ModelConsts& mc, const SliceThermo& stC,
-                        const Field<double>& P, const Field<double>& Pd,
-                        const Field<double>& Mu, Field<double>& Dst, int x,
-                        int y, int z, V divX, V divY) {
-    const V one = V::broadcast(1.0);
-
-    V hD[N], hS[N];
-    moelansWeightsW(Pd, x, y, z, hD);
-    moelansWeightsW(P, x, y, z, hS);
-
-    const V mux = V::loadu(Mu.ptr(x, y, z, 0));
-    const V muy = V::loadu(Mu.ptr(x, y, z, 1));
+/// Sources and susceptibility of V::width cells with weights
+/// hD = h(phiDst), hS = h(phiSrc).
+inline CellCoeffs cellCoeffsW(const ModelConsts& mc, const SliceThermo& stC,
+                              const V hD[N], const V hS[N], V mux, V muy) {
     const V invDt = V::broadcast(mc.invDt);
     V src1X = V::zero(), src1Y = V::zero(), src2X = V::zero(),
       src2Y = V::zero();
@@ -230,18 +309,62 @@ inline void cellFinishW(const ModelConsts& mc, const SliceThermo& stC,
         src2X -= hD[a] * V::broadcast(mc.dxidTx[a]) * V::broadcast(mc.dTdt);
         src2Y -= hD[a] * V::broadcast(mc.dxidTy[a]) * V::broadcast(mc.dTdt);
     }
-    const V rhsX = divX + (src1X + src2X);
-    const V rhsY = divY + (src1Y + src2Y);
+    CellCoeffs k;
+    k.srcX = src1X + src2X;
+    k.srcY = src1Y + src2Y;
 
-    V chiA = V::zero(), chiB = V::zero(), chiD = V::zero();
+    k.chiA = V::zero();
+    k.chiB = V::zero();
+    k.chiD = V::zero();
     for (int a = 0; a < N; ++a) {
-        chiA += hD[a] * V::broadcast(mc.kinvA[a]);
-        chiB += hD[a] * V::broadcast(mc.kinvB[a]);
-        chiD += hD[a] * V::broadcast(mc.kinvD[a]);
+        k.chiA += hD[a] * V::broadcast(mc.kinvA[a]);
+        k.chiB += hD[a] * V::broadcast(mc.kinvB[a]);
+        k.chiD += hD[a] * V::broadcast(mc.kinvD[a]);
     }
-    const V invDet = one / (chiA * chiD - chiB * chiB);
-    const V dmux = (chiD * rhsX - chiB * rhsY) * invDet;
-    const V dmuy = (chiA * rhsY - chiB * rhsX) * invDet;
+    k.invDet = V::broadcast(1.0) / (k.chiA * k.chiD - k.chiB * k.chiB);
+    return k;
+}
+
+/// The general expressions on the pure-liquid state (see BulkLiquid). Any
+/// slice will do: xi(T) only enters src1, through terms multiplied by
+/// dh = +0.
+inline BulkLiquid bulkLiquid(const ModelConsts& mc) {
+    const SliceThermo anySlice{};
+    V p[N], h[N];
+    for (int a = 0; a < N; ++a) p[a] = V::broadcast(a == LIQ ? 1.0 : 0.0);
+    moelansWeightsW(p, h);
+    BulkLiquid c;
+    faceMobilityW(mc, p, p, c.mA, c.mB, c.mD);
+    c.cell = cellCoeffsW(mc, anySlice, h, h, V::zero(), V::zero());
+    return c;
+}
+
+/// Sources, susceptibility solve and update for V::width consecutive cells;
+/// a group that is pure liquid in phiSrc and phiDst takes its sources and
+/// susceptibility from \p cut (nullptr: no shortcut).
+inline void cellFinishW(const ModelConsts& mc, const SliceThermo& stC,
+                        const BulkLiquid* cut, const Field<double>& P,
+                        const Field<double>& Pd, const Field<double>& Mu,
+                        Field<double>& Dst, int x, int y, int z, V divX,
+                        V divY) {
+    const V mux = V::loadu(Mu.ptr(x, y, z, 0));
+    const V muy = V::loadu(Mu.ptr(x, y, z, 1));
+
+    CellCoeffs k;
+    if (cut != nullptr && pureLiquidW(Pd, x, y, z, P, x, y, z)) {
+        k = cut->cell;
+    } else {
+        V pD[N], pS[N], hD[N], hS[N];
+        loadPhaseW(Pd, x, y, z, pD);
+        loadPhaseW(P, x, y, z, pS);
+        moelansWeightsW(pD, hD);
+        moelansWeightsW(pS, hS);
+        k = cellCoeffsW(mc, stC, hD, hS, mux, muy);
+    }
+    const V rhsX = divX + k.srcX;
+    const V rhsY = divY + k.srcY;
+    const V dmux = (k.chiD * rhsX - k.chiB * rhsY) * k.invDet;
+    const V dmuy = (k.chiA * rhsY - k.chiB * rhsX) * k.invDet;
 
     const V dt = V::broadcast(mc.dt);
     const V outX = mux + dt * dmux;
@@ -267,6 +390,8 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
     Field<double>& Dst = blk.muDst;
     const int nx = blk.size.x, ny = blk.size.y, nz = blk.size.z;
     const int z0 = ctx.zLo(), z1 = ctx.zHi(nz);
+    const BulkLiquid liquid = bulkLiquid(mc);
+    const BulkLiquid* cut = shortcuts ? &liquid : nullptr;
 
     // Staggered buffers. x-faces live in a per-row buffer of nx+1 face values
     // (computed in a vectorized pre-pass); y-faces in a row buffer, z-faces
@@ -311,8 +436,7 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
                 for (int i = -1; i < nx; i += W) {
                     const int ii = std::min(i, nx - W);
                     V Fx, Fy;
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 0, ii, y, z,
-                            shortcuts, Fx, Fy);
+                    muFaceW<0>(mc, P, Pd, Mu, stC, stC, ii, y, z, cut, Fx, Fy);
                     Fx.storeu(fxRowX.data() + (ii + 1));
                     Fy.storeu(fxRowY.data() + (ii + 1));
                     if (ii != i) break; // tail group handled
@@ -335,14 +459,14 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
                     fxpY = V::loadu(fxRowY.data() + xx + 1);
 
                     if (y == 0 || tail) {
-                        muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y - 1, z,
-                                shortcuts, fymX, fymY);
+                        muFaceW<1>(mc, P, Pd, Mu, stC, stC, xx, y - 1, z, cut,
+                                   fymX, fymY);
                     } else {
                         fymX = V::loadu(rowYX.data() + xx);
                         fymY = V::loadu(rowYY.data() + xx);
                     }
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y, z,
-                            shortcuts, fypX, fypY);
+                    muFaceW<1>(mc, P, Pd, Mu, stC, stC, xx, y, z, cut, fypX,
+                               fypY);
                     fypX.storeu(rowYX.data() + xx);
                     fypY.storeu(rowYY.data() + xx);
 
@@ -354,29 +478,29 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
                         // Slab bottom (or overlapped tail): seed the z-carry
                         // with the identical muFaceW call the full sweep
                         // buffered at z - 1.
-                        muFaceW(mc, P, Pd, Mu, stM, stC, 2, xx, y, z - 1,
-                                shortcuts, fzmX, fzmY);
+                        muFaceW<2>(mc, P, Pd, Mu, stM, stC, xx, y, z - 1, cut,
+                                   fzmX, fzmY);
                     } else {
                         fzmX = V::loadu(pzx);
                         fzmY = V::loadu(pzy);
                     }
-                    muFaceW(mc, P, Pd, Mu, stC, stP, 2, xx, y, z,
-                            shortcuts, fzpX, fzpY);
+                    muFaceW<2>(mc, P, Pd, Mu, stC, stP, xx, y, z, cut, fzpX,
+                               fzpY);
                     fzpX.storeu(pzx);
                     fzpY.storeu(pzy);
                 } else {
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 0, xx - 1, y, z,
-                            shortcuts, fxmX, fxmY);
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 0, xx, y, z,
-                            shortcuts, fxpX, fxpY);
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y - 1, z,
-                            shortcuts, fymX, fymY);
-                    muFaceW(mc, P, Pd, Mu, stC, stC, 1, xx, y, z,
-                            shortcuts, fypX, fypY);
-                    muFaceW(mc, P, Pd, Mu, stM, stC, 2, xx, y, z - 1,
-                            shortcuts, fzmX, fzmY);
-                    muFaceW(mc, P, Pd, Mu, stC, stP, 2, xx, y, z,
-                            shortcuts, fzpX, fzpY);
+                    muFaceW<0>(mc, P, Pd, Mu, stC, stC, xx - 1, y, z, cut, fxmX,
+                               fxmY);
+                    muFaceW<0>(mc, P, Pd, Mu, stC, stC, xx, y, z, cut, fxpX,
+                               fxpY);
+                    muFaceW<1>(mc, P, Pd, Mu, stC, stC, xx, y - 1, z, cut, fymX,
+                               fymY);
+                    muFaceW<1>(mc, P, Pd, Mu, stC, stC, xx, y, z, cut, fypX,
+                               fypY);
+                    muFaceW<2>(mc, P, Pd, Mu, stM, stC, xx, y, z - 1, cut, fzmX,
+                               fzmY);
+                    muFaceW<2>(mc, P, Pd, Mu, stC, stP, xx, y, z, cut, fzpX,
+                               fzpY);
                 }
 
                 const V invDx = V::broadcast(mc.invDx);
@@ -385,7 +509,8 @@ void muSweepMultiCellBody(SimBlock& blk, const StepContext& ctx, bool useTz,
                 const V divY =
                     (((fxpY - fxmY) + (fypY - fymY)) + (fzpY - fzmY)) * invDx;
 
-                cellFinishW(mc, stC, P, Pd, Mu, Dst, xx, y, z, divX, divY);
+                cellFinishW(mc, stC, cut, P, Pd, Mu, Dst, xx, y, z, divX,
+                            divY);
             }
         }
     }

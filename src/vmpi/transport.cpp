@@ -45,9 +45,14 @@ std::vector<TransportKind> spawnableTransports() {
     return {TransportKind::Thread, TransportKind::Shm};
 }
 
-TransportKind defaultTransport() {
+std::string transportFromEnvironment() {
     const char* env = std::getenv("TPF_TRANSPORT");
-    if (env == nullptr || env[0] == '\0') return TransportKind::Thread;
+    return env == nullptr ? std::string() : std::string(env);
+}
+
+TransportKind defaultTransport() {
+    const std::string env = transportFromEnvironment();
+    if (env.empty()) return TransportKind::Thread;
     TransportKind k = TransportKind::Thread;
     const bool known = parseTransportName(env, k);
     TPF_ASSERT(known, "TPF_TRANSPORT names an unknown transport");

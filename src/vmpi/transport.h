@@ -60,6 +60,11 @@ bool transportCompiledIn(TransportKind k);
 /// excluded here; test suites iterate this list.
 std::vector<TransportKind> spawnableTransports();
 
+/// The value of $TPF_TRANSPORT, "" when unset: the name defaultTransport()
+/// resolves. Front ends check it with parseTransportName and
+/// transportCompiledIn to reject a bad value before spawning.
+std::string transportFromEnvironment();
+
 /// The transport runParallel(nranks, f) uses: $TPF_TRANSPORT when set (must
 /// name a compiled-in backend, hard error otherwise), thread by default.
 TransportKind defaultTransport();

@@ -17,15 +17,11 @@
 
 #include "core/kernel_dispatch.h"
 #include "core/solver.h"
+#include "kernel_support.h"
 #include "vmpi/comm.h"
 
 namespace tpf {
 namespace {
-
-/// Restores the startup dispatch choice no matter how a test exits.
-struct TargetGuard {
-    ~TargetGuard() { core::setKernelTarget("auto"); }
-};
 
 core::SolverConfig makeConfig(int ranks, int threads, bool window) {
     core::SolverConfig cfg;
@@ -138,7 +134,7 @@ constexpr int kSteps = 12;
 /// Every available dispatch target reproduces the narrowest (scalar) target
 /// bitwise, serial and threaded+ranked.
 TEST(KernelEquivalence, DispatchTargetsMatchBitwise) {
-    TargetGuard guard;
+    test::TargetGuard guard;
     const auto targets = core::availableKernelTargets();
     ASSERT_FALSE(targets.empty());
     ASSERT_STREQ(targets.front()->name, "scalar")
@@ -187,7 +183,7 @@ TEST(KernelEquivalence, DispatchTargetsMatchBitwise) {
 /// "schedule:target" specs — are rejected without changing the selection,
 /// and "auto" restores the widest target.
 TEST(KernelEquivalence, DispatchSelection) {
-    TargetGuard guard;
+    test::TargetGuard guard;
     const auto targets = core::availableKernelTargets();
     const core::KernelTarget* widest = targets.back();
 

@@ -1,17 +1,21 @@
-/// Kernel equivalence + invariant tests for the mu-sweep, including the
-/// local/neighbor split used for communication hiding and the exact
-/// conservation property of the grand-potential formulation.
+/// Kernel equivalence + invariant tests for the mu-sweep: every variant
+/// against the Basic reference, the production shortcuts against the
+/// shortcut-free sweep byte for byte (MuShortcutLockdown), and the exact
+/// conservation property of the grand-potential formulation, over one step
+/// and over many production steps.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
+#include <limits>
 
 #include "comm/exchange.h"
 #include "core/kernel_dispatch.h"
 #include "core/kernels.h"
 #include "core/regions.h"
 #include "thermo/agalcu.h"
+#include "kernel_support.h"
 #include "util/random.h"
 
 namespace tpf::core {
@@ -34,10 +38,13 @@ struct MuFixture {
 
     /// Interface block with perturbed mu and an evolved phiDst (one Basic
     /// phi-sweep) so dphi/dt and the anti-trapping current are nonzero.
+    /// \p speckled applies test::speckle to phiSrc before that sweep.
     std::unique_ptr<SimBlock> makeBlock(Scenario sc, std::uint64_t seed = 123,
-                                        Int3 size = {16, 16, 16}) {
+                                        Int3 size = {16, 16, 16},
+                                        bool speckled = false) {
         auto b = std::make_unique<SimBlock>(size);
         fillScenario(*b, sc, sys, prm.eps);
+        if (speckled) test::speckle(*b);
         if (seed != 0) {
             Random rng(seed);
             forEachCell(b->muSrc.withGhosts(), [&](int x, int y, int z) {
@@ -133,10 +140,12 @@ TEST(MuKernel, AntiTrappingVanishesWhenPhiIsStatic) {
     EXPECT_EQ(on->muDst.maxAbsDiff(off->muDst), 0.0);
 }
 
-/// Total concentration over the interior, c(phi, mu) summed per cell.
+/// Total concentration over the interior, c(phi, mu) summed per cell. The
+/// sum runs in long double, so its own rounding stays far below the drift
+/// bounds of the conservation tests.
 Vec2 totalConcentration(const SimBlock& b, const thermo::TernarySystem& sys,
                         const FrozenTemperature& temp, bool useDst) {
-    Vec2 total{0.0, 0.0};
+    long double tx = 0.0L, ty = 0.0L;
     const Field<double>& phi = useDst ? b.phiDst : b.phiSrc;
     const Field<double>& mu = useDst ? b.muDst : b.muSrc;
     forEachCell(phi.interior(), [&](int x, int y, int z) {
@@ -147,9 +156,20 @@ Vec2 totalConcentration(const SimBlock& b, const thermo::TernarySystem& sys,
         for (int a = 0; a < N; ++a) s2 += p[a] * p[a];
         for (int a = 0; a < N; ++a) h[a] = p[a] * p[a] / s2;
         const double T = temp.atCell(b.origin.z + z, 0.0, 0.0);
-        total += sys.mixtureConcentration(h, {mu(x, y, z, 0), mu(x, y, z, 1)}, T);
+        const Vec2 c =
+            sys.mixtureConcentration(h, {mu(x, y, z, 0), mu(x, y, z, 1)}, T);
+        tx += c.x;
+        ty += c.y;
     });
-    return total;
+    return {static_cast<double>(tx), static_cast<double>(ty)};
+}
+
+/// True if (x, y, z) is pure liquid in both phiSrc and phiDst.
+bool pureLiquidCell(const SimBlock& b, int x, int y, int z) {
+    for (const Field<double>* f : {&b.phiSrc, &b.phiDst})
+        for (int a = 0; a < N; ++a)
+            if ((*f)(x, y, z, a) != (a == LIQ ? 1.0 : 0.0)) return false;
+    return true;
 }
 
 TEST(MuKernel, FullStepConservesTotalConcentrationPeriodically) {
@@ -195,6 +215,74 @@ TEST(MuKernel, FullStepConservesTotalConcentrationPeriodically) {
     const double cells = 16.0 * 16.0 * 16.0;
     EXPECT_NEAR(after.x / cells, before.x / cells, 1e-12);
     EXPECT_NEAR(after.y / cells, before.y / cells, 1e-12);
+}
+
+TEST(MuKernel, ProductionKernelsConserveSoluteOverManySteps) {
+    // The production pair (multi-cell phi SimdFourCell + mu SimdTzStagCut,
+    // with every shortcut) in a closed box: periodic self-wrap in all
+    // directions, uniform T, no drive. The front region and the bulk liquid
+    // above it both take part, so the bulk-liquid path carries the
+    // diffusion of the mu perturbation for most of the block.
+    MuFixture fx;
+    fx.prm.temp.velocity = 0.0;
+    fx.prm.temp.gradient = 0.0;
+    fx.temp = FrozenTemperature(fx.prm.temp);
+
+    const Int3 size{16, 16, 32};
+    auto b = std::make_unique<SimBlock>(size);
+    fillScenario(*b, Scenario::Interface, fx.sys, fx.prm.eps);
+    Random rng(9);
+    forEachCell(b->muSrc.interior(), [&](int x, int y, int z) {
+        b->muSrc(x, y, z, 0) += rng.uniform(-0.05, 0.05);
+        b->muSrc(x, y, z, 1) += rng.uniform(-0.05, 0.05);
+    });
+
+    auto bf = BlockForest::createUniform(size, size, {true, true, true}, 1);
+    auto sync = [&](Field<double>& f, StencilKind st) {
+        GhostExchange ex(bf, nullptr, st, 0);
+        ex.registerField(0, &f);
+        ex.communicate();
+    };
+
+    const Vec2 before = totalConcentration(*b, fx.sys, fx.temp, false);
+    SimBlock start(size);
+    fillScenario(start, Scenario::Interface, fx.sys, fx.prm.eps);
+    const StepContext c = fx.ctx(*b);
+    constexpr int kSteps = 60;
+    int liquidCells = 0;
+    for (int s = 0; s < kSteps; ++s) {
+        sync(b->phiSrc, StencilKind::D3C19);
+        sync(b->muSrc, StencilKind::D3C7);
+        runPhiKernel(PhiKernelKind::SimdFourCell, *b, c);
+        sync(b->phiDst, StencilKind::D3C19);
+        runMuKernel(MuKernelKind::SimdTzStagCut, *b, c);
+        if (s == kSteps - 1)
+            forEachCell(b->phiSrc.interior(), [&](int x, int y, int z) {
+                liquidCells += pureLiquidCell(*b, x, y, z) ? 1 : 0;
+            });
+        b->phiSrc.swapData(b->phiDst);
+        b->muSrc.swapData(b->muDst);
+    }
+    const Vec2 after = totalConcentration(*b, fx.sys, fx.temp, false);
+
+    const double cells = static_cast<double>(size.x) * size.y * size.z;
+    EXPECT_GT(liquidCells, static_cast<int>(cells) / 4)
+        << "the block must keep a bulk-liquid region";
+    EXPECT_GT(b->phiSrc.maxAbsDiff(start.phiSrc), 1e-3)
+        << "the front must move";
+
+    // Drift bound from rounding. In exact arithmetic the update telescopes
+    // (see muCellFinish): the stored face fluxes cancel pairwise over the
+    // periodic box and the sources are exact differences of c, so the total
+    // is invariant. Each step rounds every cell's update through at most
+    // ~30 double operations (sources, solve, Euler step), each off by at
+    // most half an ulp of a term no larger than max |c| (< 1 here). That
+    // bounds the drift of the cell mean by kSteps * 30 * eps * 1 ~ 4e-13
+    // (the long double sums add ~1e-16).
+    const double eps = std::numeric_limits<double>::epsilon();
+    const double bound = kSteps * 30 * eps;
+    EXPECT_NEAR(after.x / cells, before.x / cells, bound);
+    EXPECT_NEAR(after.y / cells, before.y / cells, bound);
 }
 
 TEST(MuKernel, PureDiffusionRelaxesPerturbation) {
@@ -249,14 +337,9 @@ TEST(MuKernel, PureDiffusionRelaxesPerturbation) {
 // target's multi-cell width (nx = 4 under avx512) runs on the widest target
 // that fits, and must still match scalar exactly.
 
-/// Restores the startup dispatch choice no matter how a test exits.
-struct TargetGuard {
-    ~TargetGuard() { setKernelTarget("auto"); }
-};
-
 TEST(MuKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
     // nx = 4 is the narrowest block the four-cell kernel accepts.
-    TargetGuard guard;
+    test::TargetGuard guard;
     MuFixture fx;
     auto ref = fx.makeBlock(Scenario::Interface, 77, {4, 8, 8});
     auto cr = fx.ctx(*ref);
@@ -282,7 +365,7 @@ TEST(MuKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
 
 TEST(MuKernelSimdGuardsDeathTest, RejectsNxNotDivisibleByFour) {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    TargetGuard guard;
+    test::TargetGuard guard;
     MuFixture fx;
     auto b = fx.makeBlock(Scenario::Interface, 77, {6, 8, 8});
     auto c = fx.ctx(*b);
@@ -292,6 +375,97 @@ TEST(MuKernelSimdGuardsDeathTest, RejectsNxNotDivisibleByFour) {
         EXPECT_DEATH(runMuKernel(MuKernelKind::SimdTzStagCut, *b, c),
                      "divisible by 4");
     }
+}
+
+// --- production mu shortcuts == no shortcuts, bitwise ----------------------
+// SimdTzStagCut is SimdTzStag plus the exact shortcuts: the face-level
+// anti-trapping skip and the bulk-liquid path, whose faces take a per-sweep
+// mobility and whose cells take per-sweep sources and susceptibility. The
+// two must agree byte for byte, zero signs included, on every target.
+// nx = 12 and 20 leave a width-8 tail group that overlaps its neighbor;
+// nx = 4 runs on the widest target that fits. The slabbed sweeps restart the
+// staggered z-buffers at zBegin > 0, as the threaded solver does.
+
+/// Counts the x-groups of \p w cells (aligned at 0) whose cells are all,
+/// or only some, pure liquid in both phase fields.
+void countLiquidGroups(const SimBlock& b, int w, int& pure, int& mixed) {
+    const CellInterval in = b.phiSrc.interior();
+    for (int z = in.zMin; z <= in.zMax; ++z)
+        for (int y = in.yMin; y <= in.yMax; ++y)
+            for (int x0 = 0; x0 + w <= in.xMax + 1; x0 += w) {
+                int liquid = 0;
+                for (int x = x0; x < x0 + w; ++x)
+                    liquid += pureLiquidCell(b, x, y, z) ? 1 : 0;
+                if (liquid == w) ++pure;
+                if (liquid > 0 && liquid < w) ++mixed;
+            }
+}
+
+TEST(MuShortcutLockdown, BitwiseEqualToStagOnEveryTarget) {
+    test::TargetGuard guard;
+    MuFixture fx;
+    struct Case {
+        const char* name;
+        Scenario scenario;
+        bool speckled;
+        bool smallMu;
+    };
+    // "small-mu-liquid" puts mu within 1e-9 of zero: the update then
+    // outweighs both mu and the flux divergence, so one ulp in any of the
+    // bulk-liquid constants reaches muDst.
+    const Case cases[] = {{"interface", Scenario::Interface, false, false},
+                          {"liquid", Scenario::Liquid, false, false},
+                          {"solid", Scenario::Solid, false, false},
+                          {"speckled-liquid", Scenario::Liquid, true, false},
+                          {"small-mu-liquid", Scenario::Liquid, false, true}};
+    // Slab partitions of nz = 16: the full sweep and three restarts.
+    const std::vector<std::vector<int>> partitions = {{0, 16},
+                                                      {0, 5, 11, 16}};
+
+    auto sweep = [&](MuKernelKind kind, const Case& c, Int3 size,
+                     const std::vector<int>& cuts) {
+        auto b = fx.makeBlock(c.scenario, 123, size, c.speckled);
+        if (c.smallMu) {
+            Random rng(5);
+            forEachCell(b->muSrc.withGhosts(), [&](int x, int y, int z) {
+                b->muSrc(x, y, z, 0) = rng.uniform(-1e-9, 1e-9);
+                b->muSrc(x, y, z, 1) = rng.uniform(-1e-9, 1e-9);
+            });
+        }
+        const StepContext ctx = fx.ctx(*b);
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+            CellInterval slab = b->muSrc.interior();
+            slab.zMin = cuts[i];
+            slab.zMax = cuts[i + 1] - 1;
+            runMuKernel(kind, *b, ctx.forSlab(slab));
+        }
+        return b;
+    };
+
+    int pure = 0, mixed = 0;
+    for (const KernelTarget* t : availableKernelTargets()) {
+        ASSERT_TRUE(setKernelTarget(t->name));
+        for (const Case& c : cases) {
+            for (int nx : {4, 12, 16, 20}) {
+                for (const auto& cuts : partitions) {
+                    SCOPED_TRACE(std::string("target=") + t->name +
+                                 " case=" + c.name +
+                                 " nx=" + std::to_string(nx) +
+                                 " slabs=" + std::to_string(cuts.size() - 1));
+                    const Int3 size{nx, 12, 16};
+                    auto stag = sweep(MuKernelKind::SimdTzStag, c, size, cuts);
+                    auto cut = sweep(MuKernelKind::SimdTzStagCut, c, size,
+                                     cuts);
+                    EXPECT_TRUE(test::sameBytes(stag->muDst, cut->muDst))
+                        << "max |diff| = "
+                        << stag->muDst.maxAbsDiff(cut->muDst);
+                    countLiquidGroups(*cut, 8, pure, mixed);
+                }
+            }
+        }
+    }
+    EXPECT_GT(pure, 0) << "some groups must take the bulk-liquid path";
+    EXPECT_GT(mixed, 0) << "some groups must mix pure-liquid and other lanes";
 }
 
 } // namespace

@@ -17,13 +17,13 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/kernel_dispatch.h"
 #include "core/kernels.h"
 #include "core/regions.h"
+#include "kernel_support.h"
 #include "thermo/agalcu.h"
 #include "util/random.h"
 
@@ -267,14 +267,9 @@ TEST(PhiKernel, RegionClassificationOfScenarios) {
 // target's multi-cell width (nx = 4 under avx512) runs on the widest target
 // that fits, and must still match scalar exactly.
 
-/// Restores the startup dispatch choice no matter how a test exits.
-struct TargetGuard {
-    ~TargetGuard() { setKernelTarget("auto"); }
-};
-
 TEST(PhiKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
     // nx = 4 is the narrowest block the four-cell kernel accepts.
-    TargetGuard guard;
+    test::TargetGuard guard;
     KernelFixture fx;
     auto ref = fx.makeBlock(Scenario::Interface, {4, 8, 8}, 77);
     auto ctxRef = fx.ctx(*ref);
@@ -299,7 +294,7 @@ TEST(PhiKernelSimdGuards, MinimalVectorWidthBlockMatchesBasic) {
 
 TEST(PhiKernelSimdGuardsDeathTest, RejectsNxNotDivisibleByFour) {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    TargetGuard guard;
+    test::TargetGuard guard;
     KernelFixture fx;
     auto b = fx.makeBlock(Scenario::Interface, {6, 8, 8}, 77);
     auto ctx = fx.ctx(*b);
@@ -316,23 +311,6 @@ TEST(PhiKernelSimdGuardsDeathTest, RejectsNxNotDivisibleByFour) {
 // nx = 12 and 20 leave a width-8 tail group that overlaps its neighbor;
 // nx = 4 runs on the widest target that fits. The slabbed sweeps restart the
 // staggered z-buffers at zBegin > 0, as the threaded solver does.
-
-bool sameBytes(const Field<double>& a, const Field<double>& b) {
-    return a.allocSize() == b.allocSize() &&
-           std::memcmp(a.data(), b.data(), a.allocSize() * sizeof(double)) == 0;
-}
-
-/// Turns isolated interior cells of a liquid block into a liquid/solid mix,
-/// so x-groups hold both bulk and non-bulk lanes, and non-bulk lanes read
-/// the +0.0 faces their bulk neighbors buffered.
-void speckle(SimBlock& b) {
-    forEachCell(b.phiSrc.interior(), [&](int x, int y, int z) {
-        if ((7 * x + 3 * y + 5 * z) % 11 != 0) return;
-        for (int a = 0; a < N; ++a) b.phiSrc(x, y, z, a) = 0.0;
-        b.phiSrc(x, y, z, LIQ) = 0.75;
-        b.phiSrc(x, y, z, (LIQ + 1) % N) = 0.25;
-    });
-}
 
 /// Groups of \p w consecutive x-cells (aligned at 0) that mix bulk and
 /// non-bulk cells.
@@ -361,7 +339,7 @@ int mixedGroups(const Field<double>& phi, int w) {
 }
 
 TEST(PhiMultiCellLockdown, BitwiseEqualToCellwiseOnEveryTarget) {
-    TargetGuard guard;
+    test::TargetGuard guard;
     KernelFixture fx;
     struct Case {
         const char* name;
@@ -379,7 +357,7 @@ TEST(PhiMultiCellLockdown, BitwiseEqualToCellwiseOnEveryTarget) {
     auto sweep = [&](PhiKernelKind kind, const Case& c, Int3 size,
                      const std::vector<int>& cuts) {
         auto b = fx.makeBlock(c.scenario, size, 77);
-        if (c.speckled) speckle(*b);
+        if (c.speckled) test::speckle(*b);
         const StepContext ctx = fx.ctx(*b);
         for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
             CellInterval slab = b->phiSrc.interior();
@@ -405,7 +383,7 @@ TEST(PhiMultiCellLockdown, BitwiseEqualToCellwiseOnEveryTarget) {
                                       cuts);
                     auto multi = sweep(PhiKernelKind::SimdFourCell, c, size,
                                        cuts);
-                    EXPECT_TRUE(sameBytes(cell->phiDst, multi->phiDst))
+                    EXPECT_TRUE(test::sameBytes(cell->phiDst, multi->phiDst))
                         << "max |diff| = " << maxDiff(cell->phiDst, multi->phiDst);
                     if (c.speckled) mixed += mixedGroups(cell->phiSrc, 8);
                 }

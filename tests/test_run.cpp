@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "analysis/mesh_observer.h"
@@ -17,6 +19,7 @@
 #include "app/run.h"
 #include "io/csv_writer.h"
 #include "obs/metrics.h"
+#include "vmpi/transport.h"
 #include "run_support.h"
 
 namespace tpf {
@@ -42,11 +45,29 @@ void writeSeries(const fs::path& path, const std::string& tag) {
     w.writeRow(0, {0.0});
 }
 
+/// Sets $TPF_TRANSPORT for one scope (nullptr: leaves it alone) and
+/// restores the caller's value: run_driver_shm runs this suite under
+/// TPF_TRANSPORT=shm.
+struct TransportEnv {
+    std::optional<std::string> saved;
+    explicit TransportEnv(const char* value) {
+        if (const char* old = std::getenv("TPF_TRANSPORT")) saved = old;
+        if (value != nullptr) ::setenv("TPF_TRANSPORT", value, 1);
+    }
+    ~TransportEnv() {
+        if (saved)
+            ::setenv("TPF_TRANSPORT", saved->c_str(), 1);
+        else
+            ::unsetenv("TPF_TRANSPORT");
+    }
+};
+
 struct Case {
     const char* name;
     std::function<void(app::RunSpec&)> edit;
     int exitCode;
     const char* fragment;
+    const char* transportEnv = nullptr; ///< $TPF_TRANSPORT during validate
 };
 
 TEST(RunSpecValidate, RejectsEveryBadInputWithItsExitCodeAndMessage) {
@@ -119,6 +140,8 @@ TEST(RunSpecValidate, RejectsEveryBadInputWithItsExitCodeAndMessage) {
          "--metrics-every must be >= 0"},
         {"unknown transport", [](auto& s) { s.transport = "pigeon"; }, 2,
          "unknown --transport 'pigeon'"},
+        {"unknown $TPF_TRANSPORT", [](auto& s) { s.ranks = 2; }, 2,
+         "unknown $TPF_TRANSPORT 'bogus' (thread, shm, mpi)", "bogus"},
         {"empty observers", [&](auto& s) { analyze(s); s.observers = {}; }, 2,
          "--analysis-observers is empty"},
         {"unknown observer",
@@ -160,6 +183,7 @@ TEST(RunSpecValidate, RejectsEveryBadInputWithItsExitCodeAndMessage) {
         SCOPED_TRACE(c.name);
         app::RunSpec spec = smallSpec(1, d / "out");
         c.edit(spec);
+        const TransportEnv env(c.transportEnv);
         const auto rejection = spec.validate();
         ASSERT_TRUE(rejection.has_value());
         EXPECT_EQ(rejection->exitCode, c.exitCode);
@@ -174,6 +198,27 @@ TEST(RunSpecValidate, RejectsEveryBadInputWithItsExitCodeAndMessage) {
     mesh(fresh);
     metrics(fresh);
     EXPECT_FALSE(fresh.validate().has_value());
+}
+
+TEST(RunSpecValidate, TransportEnvironmentIsOnlyCheckedWhereItIsUsed) {
+    test::TempDir dir("run_transport_env");
+    const TransportEnv bogus("bogus");
+    EXPECT_FALSE(smallSpec(1, dir.path).validate().has_value())
+        << "a one-rank run never resolves $TPF_TRANSPORT";
+    app::RunSpec flagged = smallSpec(2, dir.path);
+    flagged.transport = "thread";
+    EXPECT_FALSE(flagged.validate().has_value())
+        << "--transport takes precedence over $TPF_TRANSPORT";
+    if (!vmpi::transportCompiledIn(vmpi::TransportKind::Mpi)) {
+        const TransportEnv mpi("mpi");
+        const auto rejection = smallSpec(2, dir.path).validate();
+        ASSERT_TRUE(rejection.has_value());
+        EXPECT_EQ(rejection->exitCode, 2);
+        EXPECT_NE(rejection->message.find(
+                      "$TPF_TRANSPORT mpi requires a TPF_WITH_MPI=ON build"),
+                  std::string::npos)
+            << rejection->message;
+    }
 }
 
 TEST(RunSeries, ResumeNamesTheFlagsOfItsOwnSeries) {
